@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -296,7 +297,8 @@ def cmd_train(args) -> int:
 
 
 def _synthesize(
-    mask_model_path,
+    mask_model: VelocityModel,
+    mask_meta: dict[str, str],
     image_model_path,
     n_total: int,
     class_probs: np.ndarray,
@@ -309,7 +311,6 @@ def _synthesize(
     perturb: bool = False,
     header: list[str] | None = None,
 ) -> list[ManifestRecord]:
-    mask_model, mask_meta = load_model(mask_model_path)
     image_model, _ = load_model(image_model_path)
     side = int(mask_meta.get("resolution", int(np.sqrt(mask_model.data_dim))))
     bins = _bins_from(mask_meta, 10, 0.05)
@@ -374,11 +375,12 @@ def cmd_synthesize_indomain(args) -> int:
     if args.k < 1:
         raise DomainError(f"k must be >= 1, got {args.k}")
     n_total = args.k * args.real_count
-    _, mask_meta = load_model(args.mask_model)
+    mask_model, mask_meta = load_model(args.mask_model)
     bins = _bins_from(mask_meta, 10, 0.05)
     class_probs = np.full(bins.num_classes, 1.0 / bins.num_classes)
     records = _synthesize(
-        args.mask_model,
+        mask_model,
+        mask_meta,
         args.image_model,
         n_total,
         class_probs,
@@ -398,7 +400,7 @@ def cmd_synthesize_crossdomain(args) -> int:
     target_masks, _ = _load_mask_dir(args.target_masks)
     x_target = len(target_masks)
     n_total = math.ceil(args.multiplier * x_target)
-    _, mask_meta = load_model(args.mask_model)
+    mask_model, mask_meta = load_model(args.mask_model)
     bins = _bins_from(mask_meta, 10, 0.05)
     seed = effective_seed(args.seed)
     stats = mask_ops.estimate_target_stats(target_masks, args.fraction, bins, seed=seed)
@@ -415,7 +417,8 @@ def cmd_synthesize_crossdomain(args) -> int:
         f"mean_width={repr(stats.mean_width)}",
     ]
     records = _synthesize(
-        args.mask_model,
+        mask_model,
+        mask_meta,
         args.image_model,
         n_total,
         stats.histogram,
@@ -501,6 +504,19 @@ def cmd_split(args) -> int:
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise DomainError(f"fractions must sum to 1, got {sum(fractions)}")
     records, comments = read_manifest(args.manifest)
+    src_dir = os.path.dirname(os.path.abspath(args.manifest))
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    if out_dir != src_dir:
+        # Record paths are relative to their manifest's directory.
+        def rebase(path: str) -> str:
+            if not path or os.path.isabs(path):
+                return path
+            return os.path.relpath(os.path.join(src_dir, path), out_dir)
+
+        records = [
+            replace(r, image_path=rebase(r.image_path), mask_path=rebase(r.mask_path))
+            for r in records
+        ]
     seed = effective_seed(args.seed)
     order = np.random.default_rng(seed).permutation(len(records))
     counts = split_counts(len(records), fractions)

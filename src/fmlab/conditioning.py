@@ -147,10 +147,11 @@ def boundary_map(mask, thicken: int = 0) -> np.ndarray:
     """
     if thicken < 0:
         raise DomainError(f"thicken must be nonnegative, got {thicken}")
+    # Validate once; the private kernels skip dilate/erode's per-call checks.
     m = mask_ops.as_mask(mask)
-    g = (mask_ops.dilate(m) - mask_ops.erode(m)).astype(np.uint8)
+    g = mask_ops._dilate(m) - mask_ops._erode(m)
     for _ in range(thicken):
-        g = mask_ops.dilate(g)
+        g = mask_ops._dilate(g)
     return g.astype(np.float64)
 
 

@@ -43,7 +43,7 @@ def as_mask(m) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeError(f"mask must be 2D with positive dims, got shape {m.shape}")
     out = m.astype(np.uint8, copy=True)
-    if not np.all((out == 0) | (out == 1)):
+    if out.max() > 1:
         raise DomainError("mask values must be 0 or 1")
     return out
 
@@ -94,36 +94,45 @@ def _check_se(se) -> np.ndarray:
     return se
 
 
-def dilate(m, se=SE3) -> np.ndarray:
-    """Binary dilation under zero padding (background outside the image)."""
-    m = as_mask(m)
-    se = _check_se(se)
+def _morph(m: np.ndarray, se: np.ndarray, op, init: int) -> np.ndarray:
+    """Reduce a validated mask with op (np.maximum or np.minimum) over the
+    window of a validated structuring element, zero outside the image; init is
+    the result where the element selects nothing."""
     h, w = m.shape
     ph, pw = se.shape[0] // 2, se.shape[1] // 2
     padded = np.zeros((h + 2 * ph, w + 2 * pw), dtype=np.uint8)
     padded[ph : ph + h, pw : pw + w] = m
-    out = np.zeros_like(m)
-    for di in range(se.shape[0]):
-        for dj in range(se.shape[1]):
-            if se[di, dj]:
-                np.maximum(out, padded[di : di + h, dj : dj + w], out=out)
+    if np.count_nonzero(se) == se.size:
+        # A box element is separable: reduce along each row, then each column.
+        rows = padded[:, :w]
+        for dj in range(1, se.shape[1]):
+            rows = op(rows, padded[:, dj : dj + w])
+        out = rows[:h]
+        for di in range(1, se.shape[0]):
+            out = op(out, rows[di : di + h])
+        return out
+    out = np.full_like(m, init)
+    for di, dj in zip(*np.nonzero(se)):
+        op(out, padded[di : di + h, dj : dj + w], out=out)
     return out
+
+
+def _dilate(m: np.ndarray, se: np.ndarray = SE3) -> np.ndarray:
+    return _morph(m, se, np.maximum, 0)
+
+
+def _erode(m: np.ndarray, se: np.ndarray = SE3) -> np.ndarray:
+    return _morph(m, se, np.minimum, 1)
+
+
+def dilate(m, se=SE3) -> np.ndarray:
+    """Binary dilation under zero padding (background outside the image)."""
+    return _dilate(as_mask(m), _check_se(se))
 
 
 def erode(m, se=SE3) -> np.ndarray:
     """Binary erosion under zero padding (border pixels erode away)."""
-    m = as_mask(m)
-    se = _check_se(se)
-    h, w = m.shape
-    ph, pw = se.shape[0] // 2, se.shape[1] // 2
-    padded = np.zeros((h + 2 * ph, w + 2 * pw), dtype=np.uint8)
-    padded[ph : ph + h, pw : pw + w] = m
-    out = np.ones_like(m)
-    for di in range(se.shape[0]):
-        for dj in range(se.shape[1]):
-            if se[di, dj]:
-                np.minimum(out, padded[di : di + h, dj : dj + w], out=out)
-    return out
+    return _erode(as_mask(m), _check_se(se))
 
 
 def translate(m, dx: int, dy: int) -> np.ndarray:

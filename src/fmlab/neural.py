@@ -10,7 +10,7 @@ Everything is float64 numpy and bit-deterministic for a fixed seed.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -66,11 +66,12 @@ def time_embedding(t, dim: int) -> np.ndarray:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Logistic function as 0.5*(1 + tanh(x/2)), computed in one temporary;
+    unlike 1/(1 + exp(-x)) it cannot overflow, so it needs no sign split."""
+    out = np.multiply(x, 0.5)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -78,9 +79,14 @@ def _silu(x):
     return x * _sigmoid(x)
 
 
-def _dsilu(x):
-    sig = _sigmoid(x)
-    return sig * (1.0 + x * (1.0 - sig))
+def _silu_grad(g, h, sig):
+    """g * SiLU'(x) written into g, with SiLU'(x) = sig + h*(1 - sig) taken
+    from the forward cache (sig = sigmoid(x), h = x*sig)."""
+    d = np.subtract(1.0, sig)
+    d *= h
+    d += sig
+    g *= d
+    return g
 
 
 class VelocityModel:
@@ -141,41 +147,41 @@ class VelocityModel:
         for layer in range(hidden_layers - 1):
             shapes += [(f"wh{layer}", (w, w)), (f"bh{layer}", (w,))]
         shapes += [("w_out", (w, data_dim)), ("b_out", (data_dim,))]
-        self._shapes = shapes
+        self._hidden = [("w_in", "b_in")] + [(f"wh{i}", f"bh{i}") for i in range(hidden_layers - 1)]
 
+        # One contiguous parameter vector and one gradient vector; _p and _g
+        # hold named, reshaped views into them, so the optimizer updates the
+        # weights and backward writes the gradients without any copying.
+        n_params = sum(int(np.prod(shape)) for _, shape in shapes)
+        self._flat = np.zeros(n_params)
+        self._gflat = np.zeros(n_params)
         self._p: dict[str, np.ndarray] = {}
+        self._g: dict[str, np.ndarray] = {}
+        offset = 0
         for name, shape in shapes:
-            if name.startswith("b"):
-                self._p[name] = np.zeros(shape)
-            elif name == "emb":
-                self._p[name] = rng.normal(0.0, 1.0 / np.sqrt(dt), shape)
-            elif name == "w_out" and zero_init_output:
-                self._p[name] = np.zeros(shape)
-            else:
-                fan_in = shape[0]
-                self._p[name] = rng.normal(0.0, np.sqrt(2.0 / fan_in), shape)
+            size = int(np.prod(shape))
+            self._p[name] = self._flat[offset : offset + size].reshape(shape)
+            self._g[name] = self._gflat[offset : offset + size].reshape(shape)
+            offset += size
+            if name == "emb":
+                self._p[name][...] = rng.normal(0.0, 1.0 / np.sqrt(dt), shape)
+            elif not name.startswith("b") and not (name == "w_out" and zero_init_output):
+                self._p[name][...] = rng.normal(0.0, np.sqrt(2.0 / shape[0]), shape)
 
     # -- parameter vector plumbing ------------------------------------------
 
     @property
     def n_params(self) -> int:
-        return sum(int(np.prod(shape)) for _, shape in self._shapes)
+        return self._flat.size
 
     def get_params(self) -> np.ndarray:
-        return np.concatenate([self._p[name].ravel() for name, _ in self._shapes])
+        return self._flat.copy()
 
     def set_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.n_params,):
+        if flat.shape != self._flat.shape:
             raise ShapeError(f"expected {self.n_params} parameters, got {flat.shape}")
-        offset = 0
-        for name, shape in self._shapes:
-            size = int(np.prod(shape))
-            self._p[name] = flat[offset : offset + size].reshape(shape).copy()
-            offset += size
-
-    def _grads_to_flat(self, grads: dict[str, np.ndarray]) -> np.ndarray:
-        return np.concatenate([grads[name].ravel() for name, _ in self._shapes])
+        self._flat[...] = flat
 
     # -- conditioning preparation -------------------------------------------
 
@@ -211,71 +217,70 @@ class VelocityModel:
 
     def _forward_batch(self, x: np.ndarray, t: np.ndarray, cond):
         p = self._p
-        batch = x.shape[0]
         e = time_embedding(t, self.time_embed_dim)
         if self.mode == CLASS_CONDITIONAL:
             labels = cond
-            e = e + p["emb"][labels]
+            e += p["emb"][labels]
             x_in = x
         else:
             labels = None
             x_in = np.concatenate([x, cond], axis=1)
 
-        zh_pre = e @ p["wz1"] + p["bz1"]
-        zh = _silu(zh_pre)
-        z = zh @ p["wz2"] + p["bz2"]
+        # Each SiLU overwrites its pre-activation; backward needs only the
+        # activation h and the sigmoid.
+        zh = e @ p["wz1"]
+        zh += p["bz1"]
+        zh_sig = _sigmoid(zh)
+        zh *= zh_sig
+        z = zh @ p["wz2"]
+        z += p["bz2"]
 
-        h_pres = [x_in @ p["w_in"] + p["b_in"] + z]
-        hs = [_silu(h_pres[0])]
-        for layer in range(self.hidden_layers - 1):
-            h_pres.append(hs[-1] @ p[f"wh{layer}"] + p[f"bh{layer}"] + z)
-            hs.append(_silu(h_pres[-1]))
-        out = hs[-1] @ p["w_out"] + p["b_out"]
-        cache = {
-            "x_in": x_in,
-            "e": e,
-            "labels": labels,
-            "zh_pre": zh_pre,
-            "zh": zh,
-            "h_pres": h_pres,
-            "hs": hs,
-            "batch": batch,
-        }
+        hs, sigs = [], []
+        h = x_in
+        for w, b in self._hidden:
+            h = h @ p[w]
+            h += p[b]
+            h += z
+            sig = _sigmoid(h)
+            h *= sig
+            hs.append(h)
+            sigs.append(sig)
+        out = h @ p["w_out"]
+        out += p["b_out"]
+        cache = {"x_in": x_in, "e": e, "labels": labels, "zh": zh, "zh_sig": zh_sig, "hs": hs, "sigs": sigs}
         return out, cache
 
     def _backward_batch(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        p = self._p
-        grads: dict[str, np.ndarray] = {}
-        hs, h_pres = cache["hs"], cache["h_pres"]
+        """Write the parameter gradient into the model's gradient buffer and
+        return that buffer; the next call overwrites it."""
+        p, g = self._p, self._g
+        hs, sigs = cache["hs"], cache["sigs"]
 
-        grads["w_out"] = hs[-1].T @ grad_out
-        grads["b_out"] = grad_out.sum(axis=0)
+        np.matmul(hs[-1].T, grad_out, out=g["w_out"])
+        grad_out.sum(axis=0, out=g["b_out"])
         gh = grad_out @ p["w_out"].T
         gz = np.zeros_like(gh)
         for layer in range(self.hidden_layers - 2, -1, -1):
-            gpre = gh * _dsilu(h_pres[layer + 1])
-            grads[f"wh{layer}"] = hs[layer].T @ gpre
-            grads[f"bh{layer}"] = gpre.sum(axis=0)
+            gpre = _silu_grad(gh, hs[layer + 1], sigs[layer + 1])
+            np.matmul(hs[layer].T, gpre, out=g[f"wh{layer}"])
+            gpre.sum(axis=0, out=g[f"bh{layer}"])
             gz += gpre
             gh = gpre @ p[f"wh{layer}"].T
-        gpre0 = gh * _dsilu(h_pres[0])
-        grads["w_in"] = cache["x_in"].T @ gpre0
-        grads["b_in"] = gpre0.sum(axis=0)
+        gpre0 = _silu_grad(gh, hs[0], sigs[0])
+        np.matmul(cache["x_in"].T, gpre0, out=g["w_in"])
+        gpre0.sum(axis=0, out=g["b_in"])
         gz += gpre0
 
         # z feeds every hidden pre-activation, so its gradient is the sum.
-        grads["wz2"] = cache["zh"].T @ gz
-        grads["bz2"] = gz.sum(axis=0)
-        gzh = gz @ p["wz2"].T
-        gzh_pre = gzh * _dsilu(cache["zh_pre"])
-        grads["wz1"] = cache["e"].T @ gzh_pre
-        grads["bz1"] = gzh_pre.sum(axis=0)
+        np.matmul(cache["zh"].T, gz, out=g["wz2"])
+        gz.sum(axis=0, out=g["bz2"])
+        gzh_pre = _silu_grad(gz @ p["wz2"].T, cache["zh"], cache["zh_sig"])
+        np.matmul(cache["e"].T, gzh_pre, out=g["wz1"])
+        gzh_pre.sum(axis=0, out=g["bz1"])
         if self.mode == CLASS_CONDITIONAL:
-            ge = gzh_pre @ p["wz1"].T
-            gemb = np.zeros_like(p["emb"])
-            np.add.at(gemb, cache["labels"], ge)
-            grads["emb"] = gemb
-        return self._grads_to_flat(grads)
+            g["emb"][...] = 0.0
+            np.add.at(g["emb"], cache["labels"], gzh_pre @ p["wz1"].T)
+        return self._gflat
 
     def forward(self, x, t, y=None) -> np.ndarray:
         """Velocity prediction for a single sample or a batch.
@@ -309,7 +314,7 @@ class VelocityModel:
             tb = np.full(xb.shape[0], float(tb))
         cond = self._prepare_cond(y, xb.shape[0])
         _, cache = self._forward_batch(xb, tb, cond)
-        return self._backward_batch(cache, gb)
+        return self._backward_batch(cache, gb).copy()
 
     def conditioning_vector(self, t: float, y) -> np.ndarray:
         """z = MLP(psi(t) + E(y)); class-conditional models only."""
@@ -338,8 +343,11 @@ class TrainConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass
 class TrainState:
+    """Optimizer state. adam_step and ema_update mutate it in place; the
+    training loops return it with params copied out of the model."""
+
     params: np.ndarray
     ema_params: np.ndarray
     step: int
@@ -375,25 +383,45 @@ def init_train_state(model: VelocityModel, config: TrainConfig) -> TrainState:
 
 
 def adam_step(state: TrainState, grads: np.ndarray) -> TrainState:
-    """One bias-corrected Adam update; returns a new state."""
+    """One bias-corrected Adam update of state, in place; returns state.
+
+    params -= lr * m_hat / (sqrt(v_hat) + eps) with m_hat = m/c1 and
+    v_hat = v/c2 is evaluated as params -= (lr*sqrt(c2)/c1) * m /
+    (sqrt(v) + eps*sqrt(c2)), which folds both corrections into scalars.
+    """
     grads = np.asarray(grads, dtype=np.float64)
     if grads.shape != state.params.shape:
         raise ShapeError(f"gradient shape {grads.shape} does not match params")
     step = state.step + 1
-    if not np.all(np.isfinite(grads)):
+    if not np.isfinite(grads).all():
         raise TrainingError(f"non-finite gradients at step {step}", step=step)
-    m = state.beta1 * state.adam_m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.adam_v + (1.0 - state.beta2) * grads**2
-    m_hat = m / (1.0 - state.beta1**step)
-    v_hat = v / (1.0 - state.beta2**step)
-    params = state.params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps_adam)
-    return replace(state, params=params, adam_m=m, adam_v=v, step=step)
+    b1, b2 = state.beta1, state.beta2
+    root_c2 = np.sqrt(1.0 - b2**step)
+    m, v = state.adam_m, state.adam_v
+    scratch = np.multiply(grads, 1.0 - b1)
+    m *= b1
+    m += scratch
+    np.multiply(grads, grads, out=scratch)
+    scratch *= 1.0 - b2
+    v *= b2
+    v += scratch
+    np.sqrt(v, out=scratch)
+    scratch += state.eps_adam * root_c2
+    np.divide(m, scratch, out=scratch)
+    scratch *= state.lr * root_c2 / (1.0 - b1**step)
+    state.params -= scratch
+    state.step = step
+    return state
 
 
 def ema_update(state: TrainState) -> TrainState:
-    """ema <- d*ema + (1-d)*params."""
-    d = state.ema_decay
-    return replace(state, ema_params=d * state.ema_params + (1.0 - d) * state.params)
+    """ema <- d*ema + (1-d)*params, in place as params + d*(ema - params);
+    returns state."""
+    ema = state.ema_params
+    ema -= state.params
+    ema *= state.ema_decay
+    ema += state.params
+    return state
 
 
 # -- training loops -----------------------------------------------------------
@@ -407,6 +435,8 @@ def _train_loop(
 ) -> TrainState:
     rng = np.random.default_rng(config.seed)
     state = init_train_state(model, config)
+    # Adam updates the model's own parameter buffer, so no per-step copy-back.
+    state.params = model._flat
     for _ in range(config.steps):
         xt, t, ut, cond = draw_batch(rng)
         pred, cache = model._forward_batch(xt, t, cond)
@@ -415,10 +445,10 @@ def _train_loop(
         if not np.isfinite(loss):
             raise TrainingError(f"loss diverged (non-finite) at step {state.step + 1}", step=state.step + 1)
         grads = model._backward_batch(cache, 2.0 * diff / diff.size)
-        state = ema_update(adam_step(state, grads))
-        model.set_params(state.params)
+        ema_update(adam_step(state, grads))
         if callback is not None:
             callback(state.step, loss)
+    state.params = model.get_params()
     return state
 
 

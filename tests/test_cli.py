@@ -374,6 +374,22 @@ def test_split_assigns_counts_and_is_deterministic(tmp_path):
     assert any("split rule" in c for c in comments)
 
 
+def test_split_to_another_directory_rebases_record_paths(tmp_path):
+    data = tmp_path / "data"
+    (data / "images").mkdir(parents=True)
+    (data / "masks").mkdir()
+    for i in range(5):
+        save_image(data / "images" / f"{i}.pgm", np.full((4, 4), 0.5))
+        save_mask(data / "masks" / f"{i}.pgm", np.eye(4, dtype=np.uint8))
+    path = _manifest_with(data, 5)
+    out = tmp_path / "splits" / "split.tsv"
+    out.parent.mkdir()
+    assert main(["split", "--manifest", str(path), "--seed", "1", "--out", str(out)]) == 0
+    records = validate_manifest(out)
+    assert records[0].image_path == "../data/images/0.pgm"
+    assert records[0].mask_path == "../data/masks/0.pgm"
+
+
 def test_split_rejects_bad_fractions(tmp_path, capsys):
     path = _manifest_with(tmp_path, 10)
     assert (

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmlab.errors import DomainError, ShapeError
 from fmlab.masks import (
@@ -148,6 +150,40 @@ def test_custom_structuring_element():
     assert d.sum() == 5
     with pytest.raises(ShapeError):
         dilate(m, np.ones((2, 3), dtype=bool))
+
+
+def _brute_morph(m, se, reduce, init):
+    """Per-pixel reduce over the element's offsets, zero outside the image."""
+    h, w = m.shape
+    ph, pw = se.shape[0] // 2, se.shape[1] // 2
+    out = np.full((h, w), init, dtype=np.uint8)
+    for i in range(h):
+        for j in range(w):
+            vals = [
+                m[i + di - ph, j + dj - pw] if 0 <= i + di - ph < h and 0 <= j + dj - pw < w else 0
+                for di, dj in zip(*np.nonzero(se))
+            ]
+            if vals:
+                out[i, j] = reduce(vals)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.sampled_from([1, 3, 5]),
+    st.sampled_from([1, 3, 5]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_morphology_matches_brute_force_for_box_and_other_elements(h, w, sh, sw, box, seed):
+    # Box elements take the separable row/column path, the rest the offset loop.
+    rng = np.random.default_rng(seed)
+    m = (rng.random((h, w)) < 0.5).astype(np.uint8)
+    se = np.ones((sh, sw), dtype=bool) if box else rng.random((sh, sw)) < 0.5
+    assert np.array_equal(dilate(m, se), _brute_morph(m, se, max, 0))
+    assert np.array_equal(erode(m, se), _brute_morph(m, se, min, 1))
 
 
 def test_as_mask_validation():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmlab import toys
 from fmlab.errors import DomainError, ShapeError, TrainingError
@@ -135,6 +137,38 @@ def test_mask_mode_null_equals_empty_mask():
     assert np.array_equal(a, b)
 
 
+# -- flat parameter buffer -------------------------------------------------------
+
+
+def test_named_weights_are_views_of_the_flat_buffer():
+    model = VelocityModel(data_dim=3, num_classes=2, width=8, seed=5)
+    for name in model._p:
+        assert np.shares_memory(model._p[name], model._flat)
+        assert np.shares_memory(model._g[name], model._gflat)
+    assert model._flat.size == model.n_params
+
+
+def test_set_params_reaches_forward_and_get_params_copies():
+    model = VelocityModel(data_dim=3, num_classes=2, width=8, seed=5, zero_init_output=False)
+    x = np.random.default_rng(4).standard_normal(3)
+    theta = model.get_params()
+    assert not np.shares_memory(theta, model._flat)
+    theta[:] = 0.0
+    assert np.any(model.get_params() != 0.0)
+    model.set_params(theta)
+    assert np.array_equal(model.forward(x, 0.5, 0), np.zeros(3))
+    with pytest.raises(ShapeError):
+        model.set_params(np.zeros(model.n_params + 1))
+
+
+def test_backward_result_survives_a_later_backward():
+    model = VelocityModel(data_dim=3, num_classes=2, width=8, seed=5, zero_init_output=False)
+    first = model.backward(np.ones(3), 0.5, 1, np.ones(3))
+    kept = first.copy()
+    model.backward(-np.ones(3), 0.1, 0, np.full(3, 2.0))
+    assert np.array_equal(first, kept)
+
+
 # -- backward ------------------------------------------------------------------
 
 
@@ -240,6 +274,54 @@ def test_adam_rejects_non_finite_gradients():
 def test_adam_rejects_wrong_shape():
     with pytest.raises(ShapeError):
         adam_step(_scalar_state(), np.zeros(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 50),
+    st.floats(1e-5, 1e-1),
+    st.floats(0.0, 0.99),
+    st.floats(0.9, 0.9999),
+)
+def test_adam_step_matches_textbook_formula(seed, steps, lr, beta1, beta2):
+    rng = np.random.default_rng(seed)
+    n = 17
+    state = TrainState(
+        params=rng.standard_normal(n),
+        ema_params=np.zeros(n),
+        step=0,
+        adam_m=np.zeros(n),
+        adam_v=np.zeros(n),
+        lr=lr,
+        beta1=beta1,
+        beta2=beta2,
+        eps_adam=1e-8,
+        ema_decay=0.5,
+    )
+    params, m, v = state.params.copy(), np.zeros(n), np.zeros(n)
+    for step in range(1, steps + 1):
+        g = rng.standard_normal(n) * 10.0 ** rng.uniform(-4, 2, n)
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g**2
+        m_hat = m / (1.0 - beta1**step)
+        v_hat = v / (1.0 - beta2**step)
+        params = params - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert adam_step(state, g) is state
+        assert state.step == step
+        # Norm-wise relative error: a parameter passing through zero would
+        # make an element-wise ratio meaningless.
+        for got, want in ((state.params, params), (state.adam_m, m), (state.adam_v, v)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_adam_and_ema_update_arrays_in_place():
+    state = _scalar_state()
+    params, ema, m, v = state.params, state.ema_params, state.adam_m, state.adam_v
+    assert ema_update(adam_step(state, np.ones(1))) is state
+    assert state.params is params and state.ema_params is ema
+    assert state.adam_m is m and state.adam_v is v
+    assert params[0] != 1.0 and m[0] != 0.0 and v[0] != 0.0 and ema[0] != 1.0
 
 
 def test_ema_decay_zero_copies_params():
@@ -362,6 +444,17 @@ def test_train_fm_deterministic_given_seed():
     assert np.array_equal(results[0][0], results[1][0])
     assert np.array_equal(results[0][1], results[1][1])
     assert np.array_equal(results[0][2], results[1][2])
+
+
+def test_train_fm_returns_a_snapshot_of_the_model_params():
+    model = VelocityModel(data_dim=2, num_classes=2, width=8, seed=1)
+    state = train_fm(
+        model, toys.two_gaussians(20, seed=3), linear_schedule(), TrainConfig(steps=5, batch_size=8)
+    )
+    assert state.step == 5
+    assert np.array_equal(state.params, model.get_params())
+    assert not np.shares_memory(state.params, model._flat)
+    assert not np.array_equal(state.params, state.ema_params)
 
 
 def test_train_fm_loss_decreases_on_fixed_task():
