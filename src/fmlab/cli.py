@@ -3,7 +3,13 @@
 Subcommands: train, synthesize-indomain, synthesize-crossdomain, inject,
 split, evaluate, propagate, stats. Configs are plain key=value text files;
 the FMLAB_SEED environment variable overrides any configured seed. Exit
-codes: 0 success, 2 config/data error, 3 evaluation mismatch.
+codes: 0 success, 2 config/data error or numerical failure (a diverging ODE,
+non-finite training, a statistic outside its validity range), 3 evaluation
+mismatch.
+
+Every command solves its ODE rows in batched calls of at most _SOLVE_ROWS
+rows, so a command's cost scales with rows x steps and its solver memory
+does not grow with the number of pairs it writes.
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ import numpy as np
 
 from . import masks as mask_ops
 from . import metrics, rasters, toys
-from .errors import DomainError, ShapeError
+from .errors import DivergenceError, DomainError, NumericError, ShapeError, TrainingError
 from .manifest import ManifestRecord, read_manifest, write_manifest
 from .neural import (
     CLASS_CONDITIONAL,
@@ -38,6 +44,10 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_EVAL = 3
+
+# Most rows one ODE solve takes. Larger batches amortize the per-call and
+# per-step overhead; the cap bounds the solver's activations.
+_SOLVE_ROWS = 256
 
 
 # -- config files --------------------------------------------------------------
@@ -141,14 +151,24 @@ def _record_seeds(base_seed: int, count: int) -> np.ndarray:
     return np.random.SeedSequence(base_seed).generate_state(count, dtype=np.uint64)
 
 
+def _row_chunks(n: int) -> list[slice]:
+    """Consecutive row slices of at most _SOLVE_ROWS rows covering range(n)."""
+    return [slice(a, min(a + _SOLVE_ROWS, n)) for a in range(0, n, _SOLVE_ROWS)]
+
+
 def _render_images(image_model: VelocityModel, mask_stack: np.ndarray, seeds, icfg) -> np.ndarray:
-    """Batch-render images conditioned on masks, one base draw per record seed."""
-    n = mask_stack.shape[0]
-    x0 = np.stack(
-        [np.random.default_rng(int(s)).standard_normal(image_model.data_dim) for s in seeds]
-    )
-    out = integrate(image_model, x0, mask_stack, icfg)
-    return np.clip(out, 0.0, 1.0)
+    """Render images conditioned on masks, one base draw per record seed, in
+    batched solves of at most _SOLVE_ROWS rows."""
+    out = np.empty((len(seeds), image_model.data_dim))
+    for rows in _row_chunks(len(seeds)):
+        x0 = np.stack(
+            [
+                np.random.default_rng(int(s)).standard_normal(image_model.data_dim)
+                for s in seeds[rows]
+            ]
+        )
+        out[rows] = integrate(image_model, x0, mask_stack[rows], icfg)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def _save_pair(out_dir: Path, stem: str, image: np.ndarray, mask: np.ndarray, side: int):
@@ -333,7 +353,9 @@ def _synthesize(
         rng = np.random.default_rng(int(s))
         labels[i] = rng.choice(len(class_probs), p=class_probs)
         x0[i] = rng.standard_normal(side * side)
-    sampled = integrate(mask_model, x0, labels, icfg)
+    sampled = np.empty_like(x0)
+    for rows in _row_chunks(n_total):
+        sampled[rows] = integrate(mask_model, x0[rows], labels[rows], icfg)
     mask_stack = (sampled >= 0.5).astype(np.uint8).reshape(n_total, side, side)
 
     if perturb:
@@ -442,10 +464,21 @@ def cmd_inject(args) -> int:
     side = int(meta.get("resolution", int(np.sqrt(model.data_dim))))
     bg_files = _sorted_files(args.backgrounds, suffixes=(".pgm", ".ppm"))
     mask_files = _sorted_files(args.masks)
+    notes = []
     if args.pairing == "cartesian":
         pairs = [(b, m) for b in bg_files for m in mask_files]
     else:
         pairs = list(zip(bg_files, mask_files))
+        unpaired = abs(len(bg_files) - len(mask_files))
+        if unpaired:
+            notes.append(
+                f"zip pairing left {unpaired} file(s) unpaired "
+                f"({len(bg_files)} backgrounds, {len(mask_files)} masks)"
+            )
+            print(f"warning: {notes[-1]}", file=sys.stderr)
+    # Each distinct raster is read once, however many pairs use it.
+    backgrounds = {p: rasters.load_image(p) for p in dict.fromkeys(b for b, _ in pairs)}
+    mask_rasters = {p: rasters.load_mask(p) for p in dict.fromkeys(m for _, m in pairs)}
     out_dir = Path(args.out)
     (out_dir / "images").mkdir(parents=True, exist_ok=True)
     (out_dir / "masks").mkdir(parents=True, exist_ok=True)
@@ -453,32 +486,39 @@ def cmd_inject(args) -> int:
     bins = mask_ops.uniform_bins(args.num_classes, args.max_coverage)
     seed = effective_seed(args.seed)
 
-    records, skipped = [], []
-    digits = len(str(max(len(pairs) - 1, 1)))
+    dims = (side, side)
+    kept = []
     for i, (bg_path, mask_path) in enumerate(pairs):
-        background = rasters.load_image(bg_path)
-        mask = rasters.load_mask(mask_path)
-        if background.shape != (side, side) or mask.shape != (side, side):
+        if backgrounds[bg_path].shape != dims or mask_rasters[mask_path].shape != dims:
             msg = f"skipped pair ({bg_path.name}, {mask_path.name}): dims do not match {side}x{side}"
             print(f"warning: {msg}", file=sys.stderr)
-            skipped.append(msg)
-            continue
-        out = integrate_from_background(model, background.reshape(-1), mask, icfg)
-        image = np.clip(out, 0.0, 1.0)
-        stem = f"inject_{i:0{digits}d}"
-        image_rel, mask_rel = _save_pair(out_dir, stem, image, mask, side)
-        records.append(
-            ManifestRecord(
-                image_path=image_rel,
-                mask_path=mask_rel,
-                coverage_class=mask_ops.assign_class(mask_ops.coverage(mask), bins),
-                strategy="C_background_injected",
-                seed=seed,
-                provenance=f"inject;background={bg_path.name};mask={mask_path.name}",
+            notes.append(msg)
+        else:
+            kept.append(i)
+
+    records = []
+    digits = len(str(max(len(pairs) - 1, 1)))
+    for rows in _row_chunks(len(kept)):
+        idx = kept[rows]
+        bg_stack = np.stack([backgrounds[pairs[i][0]].reshape(-1) for i in idx])
+        mask_stack = np.stack([mask_rasters[pairs[i][1]] for i in idx])
+        images = np.clip(integrate_from_background(model, bg_stack, mask_stack, icfg), 0.0, 1.0)
+        for i, image, mask in zip(idx, images, mask_stack):
+            bg_path, mask_path = pairs[i]
+            image_rel, mask_rel = _save_pair(out_dir, f"inject_{i:0{digits}d}", image, mask, side)
+            records.append(
+                ManifestRecord(
+                    image_path=image_rel,
+                    mask_path=mask_rel,
+                    coverage_class=mask_ops.assign_class(mask_ops.coverage(mask), bins),
+                    strategy="C_background_injected",
+                    seed=seed,
+                    provenance=f"inject;background={bg_path.name};mask={mask_path.name}",
+                )
             )
-        )
-    write_manifest(out_dir / "manifest.tsv", records, comments=skipped or None)
-    print(f"injected {len(records)} pairs into {args.out} ({len(skipped)} skipped)")
+    write_manifest(out_dir / "manifest.tsv", records, comments=notes or None)
+    skipped = len(pairs) - len(kept)
+    print(f"injected {len(records)} pairs into {args.out} ({skipped} skipped)")
     return EXIT_OK
 
 
@@ -590,39 +630,39 @@ def cmd_propagate(args) -> int:
     out_dir = Path(args.out)
     (out_dir / "masks").mkdir(parents=True, exist_ok=True)
     image_model = None
-    side = mask_list[0].shape[0]
     if args.image_model:
         image_model, _ = load_model(args.image_model)
         (out_dir / "images").mkdir(parents=True, exist_ok=True)
     seed = effective_seed(args.seed)
     bins = mask_ops.uniform_bins(args.num_classes, args.max_coverage)
     icfg = IntegratorConfig(method=args.method, steps=args.ode_steps)
+    preserve = not args.allow_topology_change
 
-    records = []
+    records, variants, variant_seeds, skipped = [], [], [], []
     for i, (m, src) in enumerate(zip(mask_list, files)):
+        if preserve and not m.any():
+            msg = f"skipped mask {src.name}: empty, so its connectivity cannot be preserved"
+            print(f"warning: {msg}", file=sys.stderr)
+            skipped.append(msg)
+            continue
         policy = mask_ops.PropagationPolicy(
             variants=args.k,
             max_dilate=args.max_dilate,
             max_erode=args.max_erode,
             jitter_px=args.jitter,
-            preserve_connectivity=not args.allow_topology_change,
+            preserve_connectivity=preserve,
             seed=seed + i,
         )
+        seeds = _record_seeds(seed + i, args.k)
         for j, variant in enumerate(mask_ops.propagate(m, policy)):
             stem = f"prop_{i:04d}_{j}"
             mask_rel = f"masks/{stem}.pgm"
             rasters.save_mask(out_dir / mask_rel, variant.mask)
-            image_rel = ""
-            if image_model is not None:
-                seeds = _record_seeds(seed + i, args.k)
-                images = _render_images(
-                    image_model, variant.mask[None].astype(np.float64), seeds[j : j + 1], icfg
-                )
-                image_rel = f"images/{stem}.pgm"
-                rasters.save_image(out_dir / image_rel, images[0].reshape(side, side))
+            variants.append(variant.mask)
+            variant_seeds.append(seeds[j])
             records.append(
                 ManifestRecord(
-                    image_path=image_rel,
+                    image_path=f"images/{stem}.pgm" if image_model is not None else "",
                     mask_path=mask_rel,
                     coverage_class=mask_ops.assign_class(mask_ops.coverage(variant.mask), bins),
                     strategy="B_propagated",
@@ -630,8 +670,14 @@ def cmd_propagate(args) -> int:
                     provenance=f"base={src.name};variant={j};{variant.provenance}",
                 )
             )
-    write_manifest(out_dir / "manifest.tsv", records)
-    print(f"propagated {len(files)} masks into {len(records)} variants")
+    if image_model is not None and variants:
+        images = _render_images(
+            image_model, np.stack(variants).astype(np.float64), variant_seeds, icfg
+        )
+        for rec, image, mask in zip(records, images, variants):
+            rasters.save_image(out_dir / rec.image_path, image.reshape(mask.shape))
+    write_manifest(out_dir / "manifest.tsv", records, comments=skipped or None)
+    print(f"propagated {len(files) - len(skipped)} masks into {len(records)} variants")
     return EXIT_OK
 
 
@@ -751,7 +797,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (DomainError, ShapeError, OSError, KeyError, ValueError) as exc:
+    except (
+        DomainError,
+        ShapeError,
+        OSError,
+        KeyError,
+        ValueError,
+        DivergenceError,
+        TrainingError,
+        NumericError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -42,10 +42,10 @@ def as_mask(m) -> np.ndarray:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeError(f"mask must be 2D with positive dims, got shape {m.shape}")
-    out = m.astype(np.uint8, copy=True)
-    if out.max() > 1:
+    # Check before the cast: uint8 would truncate 0.5 to 0 and wrap 257 to 1.
+    if not ((m == 0) | (m == 1)).all():
         raise DomainError("mask values must be 0 or 1")
-    return out
+    return m.astype(np.uint8, copy=True)
 
 
 def coverage(m) -> float:
@@ -149,26 +149,35 @@ def translate(m, dx: int, dy: int) -> np.ndarray:
 
 
 def connected_components(m) -> tuple[int, np.ndarray]:
-    """8-connected component count and label raster (labels start at 1)."""
+    """8-connected component count and label raster (labels start at 1, in
+    raster order of each component's first pixel)."""
     m = as_mask(m)
     h, w = m.shape
-    labels = np.zeros((h, w), dtype=np.int32)
+    # A zero border lets the flat neighbour offsets skip bounds checks.
+    pw = w + 2
+    padded = np.zeros((h + 2, pw), dtype=np.uint8)
+    padded[1:-1, 1:-1] = m
+    unlabeled = padded.ravel().tolist()
+    labels = [0] * len(unlabeled)
+    offsets = (-pw - 1, -pw, -pw + 1, -1, 1, pw - 1, pw, pw + 1)
     count = 0
-    neighbors = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
-    for i in range(h):
-        for j in range(w):
-            if m[i, j] and labels[i, j] == 0:
-                count += 1
-                stack = [(i, j)]
-                labels[i, j] = count
-                while stack:
-                    ci, cj = stack.pop()
-                    for di, dj in neighbors:
-                        ni, nj = ci + di, cj + dj
-                        if 0 <= ni < h and 0 <= nj < w and m[ni, nj] and labels[ni, nj] == 0:
-                            labels[ni, nj] = count
-                            stack.append((ni, nj))
-    return count, labels
+    for start in np.flatnonzero(padded).tolist():
+        if not unlabeled[start]:
+            continue
+        count += 1
+        unlabeled[start] = 0
+        labels[start] = count
+        stack = [start]
+        while stack:
+            p = stack.pop()
+            for off in offsets:
+                q = p + off
+                if unlabeled[q]:
+                    unlabeled[q] = 0
+                    labels[q] = count
+                    stack.append(q)
+    out = np.array(labels, dtype=np.int32).reshape(h + 2, pw)
+    return count, np.ascontiguousarray(out[1:-1, 1:-1])
 
 
 @dataclass(frozen=True)

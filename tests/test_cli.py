@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from fmlab import toys
+from fmlab import cli, rasters, toys
 from fmlab.cli import main, parse_config, split_counts
-from fmlab.errors import DomainError
+from fmlab.errors import DivergenceError, DomainError, NumericError, TrainingError
+from fmlab.masks import PropagationPolicy, propagate
+from fmlab.sampler import IntegratorConfig
 from fmlab.manifest import ManifestRecord, read_manifest, validate_manifest, write_manifest
 from fmlab.rasters import load_image, load_mask, save_image, save_mask
 
@@ -347,6 +349,77 @@ def test_inject_skips_mismatched_dims(workspace, tmp_path, capsys):
     assert any("skipped pair" in c for c in comments)
 
 
+def test_inject_zip_reports_unpaired_files(workspace, tmp_path, capsys):
+    out = tmp_path / "inj_zip"
+    code = main(
+        [
+            "inject",
+            "--model", str(workspace / "inject.fmck"),
+            "--backgrounds", str(workspace / "backgrounds"),
+            "--masks", str(workspace / "masks"),
+            "--out", str(out),
+            "--ode-steps", "2",
+        ]
+    )
+    assert code == 0
+    assert "8 file(s) unpaired" in capsys.readouterr().err
+    records, comments = read_manifest(out / "manifest.tsv")
+    assert len(records) == 4
+    assert any("8 file(s) unpaired" in c for c in comments)
+
+
+def test_inject_cartesian_reads_each_raster_once(workspace, tmp_path, monkeypatch):
+    loads = []
+    real_load = rasters.load_image
+
+    def counting_load(path):
+        loads.append(path.name)
+        return real_load(path)
+
+    monkeypatch.setattr(rasters, "load_image", counting_load)
+    code = main(
+        [
+            "inject",
+            "--model", str(workspace / "inject.fmck"),
+            "--backgrounds", str(workspace / "backgrounds"),
+            "--masks", str(workspace / "masks"),
+            "--pairing", "cartesian",
+            "--out", str(tmp_path / "inj_once"),
+            "--ode-steps", "2",
+        ]
+    )
+    assert code == 0
+    assert sorted(loads) == sorted(p.name for p in (workspace / "backgrounds").iterdir())
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        DivergenceError("integration state diverged at step 3", step=3),
+        TrainingError("non-finite loss at step 3", step=3),
+        NumericError("covariance is not positive semi-definite"),
+    ],
+)
+def test_numerical_failures_exit_2(workspace, tmp_path, monkeypatch, capsys, error):
+    def failing_solve(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "integrate_from_background", failing_solve)
+    code = main(
+        [
+            "inject",
+            "--model", str(workspace / "inject.fmck"),
+            "--backgrounds", str(workspace / "backgrounds"),
+            "--masks", str(workspace / "masks"),
+            "--pairing", "cartesian",
+            "--out", str(tmp_path / "inj_fail"),
+            "--ode-steps", "2",
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.strip() == f"error: {error}"
+
+
 # -- split --------------------------------------------------------------------------
 
 
@@ -564,6 +637,61 @@ def test_propagate_cli(workspace, tmp_path):
     assert all(r.strategy == "B_propagated" for r in records)
     assert all(r.image_path == "" for r in records)
     assert all("variant=" in r.provenance for r in records)
+
+
+def test_propagate_skips_empty_mask(workspace, tmp_path, capsys):
+    src = tmp_path / "with_empty"
+    src.mkdir()
+    for name in ("s00.pgm", "s01.pgm"):
+        save_mask(src / name, load_mask(workspace / "masks" / name))
+    save_mask(src / "s00a.pgm", np.zeros((8, 8), dtype=np.uint8))
+    out = tmp_path / "prop_empty"
+    code = main(["propagate", "--masks", str(src), "--k", "2", "--out", str(out)])
+    assert code == 0
+    assert "skipped mask s00a.pgm" in capsys.readouterr().err
+    records, comments = read_manifest(out / "manifest.tsv")
+    assert [r.provenance.split(";")[0] for r in records] == ["base=s00.pgm"] * 2 + [
+        "base=s01.pgm"
+    ] * 2
+    assert any("skipped mask s00a.pgm" in c for c in comments)
+    # Without the connectivity constraint an empty mask has variants too.
+    out = tmp_path / "prop_empty_topo"
+    argv = ["propagate", "--masks", str(src), "--k", "2", "--allow-topology-change"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert len(validate_manifest(out / "manifest.tsv")) == 3 * 2
+
+
+def test_propagate_renders_each_variant_with_its_own_seed(workspace, tmp_path):
+    out = tmp_path / "prop_img"
+    code = main(
+        [
+            "propagate",
+            "--masks", str(workspace / "masks"),
+            "--k", "3",
+            "--seed", "5",
+            "--image-model", str(workspace / "render.fmck"),
+            "--ode-steps", "3",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    records = validate_manifest(out / "manifest.tsv")
+    mask_files = sorted((workspace / "masks").iterdir())
+    assert len(records) == len(mask_files) * 3
+    image_model, _ = cli.load_model(workspace / "render.fmck")
+    icfg = IntegratorConfig("euler", 3)
+    for i, src in enumerate(mask_files):
+        policy = PropagationPolicy(variants=3, seed=5 + i)
+        seeds = cli._record_seeds(5 + i, 3)
+        for j, variant in enumerate(propagate(load_mask(src), policy)):
+            rec = records[3 * i + j]
+            assert rec.image_path == f"images/prop_{i:04d}_{j}.pgm"
+            assert np.array_equal(load_mask(out / rec.mask_path), variant.mask)
+            expected = cli._render_images(
+                image_model, variant.mask[None].astype(np.float64), seeds[j : j + 1], icfg
+            )
+            image = load_image(out / rec.image_path)
+            assert np.max(np.abs(image - expected[0].reshape(8, 8))) <= 1.0 / 255
 
 
 def test_stats_cli(workspace, tmp_path):

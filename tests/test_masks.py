@@ -193,6 +193,21 @@ def test_as_mask_validation():
         as_mask(np.zeros(4))
 
 
+@pytest.mark.parametrize("bad", [[[0.5, 1.7]], [[256, 257]], [[-1, 0]], [[np.nan, 1.0]]])
+def test_as_mask_rejects_values_a_uint8_cast_would_hide(bad):
+    # 0.5 truncates to 0, 257 wraps to 1: the check must see the input values.
+    with pytest.raises(DomainError):
+        as_mask(bad)
+
+
+def test_as_mask_accepts_bool_and_binary_floats():
+    expected = np.array([[0, 1]], dtype=np.uint8)
+    for ok in (np.array([[False, True]]), [[0.0, 1.0]], np.array([[0, 1]], dtype=np.int64)):
+        out = as_mask(ok)
+        assert out.dtype == np.uint8
+        assert np.array_equal(out, expected)
+
+
 # -- translation ----------------------------------------------------------------------
 
 
@@ -246,6 +261,44 @@ def test_components_match_oracle_random_5x5():
     for _ in range(50):
         m = (rng.random((5, 5)) < 0.45).astype(np.uint8)
         assert connected_components(m)[0] == oracle_components(m)
+
+
+def reference_labels(m: np.ndarray) -> tuple[int, np.ndarray]:
+    """Plain BFS over the raster in row-major order: components are numbered
+    in raster order of their first pixel."""
+    h, w = m.shape
+    labels = np.zeros((h, w), dtype=np.int32)
+    count = 0
+    for i in range(h):
+        for j in range(w):
+            if m[i, j] and not labels[i, j]:
+                count += 1
+                labels[i, j] = count
+                queue = [(i, j)]
+                while queue:
+                    ci, cj = queue.pop(0)
+                    for ni in range(max(ci - 1, 0), min(ci + 2, h)):
+                        for nj in range(max(cj - 1, 0), min(cj + 2, w)):
+                            if m[ni, nj] and not labels[ni, nj]:
+                                labels[ni, nj] = count
+                                queue.append((ni, nj))
+    return count, labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 24),
+    st.integers(1, 24),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_components_label_raster_matches_reference(h, w, density, seed):
+    m = (np.random.default_rng(seed).random((h, w)) < density).astype(np.uint8)
+    count, labels = connected_components(m)
+    ref_count, ref_labels = reference_labels(m)
+    assert count == ref_count
+    assert labels.dtype == ref_labels.dtype
+    assert np.array_equal(labels, ref_labels)
 
 
 # -- propagation --------------------------------------------------------------------

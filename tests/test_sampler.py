@@ -145,3 +145,19 @@ def test_trajectory_independent_of_y_for_unconditional_field():
     a = integrate(field, x0, None, IntegratorConfig("heun", 16))
     b = integrate(field, x0, 5, IntegratorConfig("heun", 16))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("method", ["euler", "heun"])
+def test_batched_injection_matches_per_row_solves(method):
+    # Random weights, so the velocity depends on every row's background and mask.
+    model = VelocityModel(data_dim=16, mode="mask_conditional", mask_shape=(4, 4), width=8, seed=0)
+    rng = np.random.default_rng(2)
+    model.set_params(rng.normal(0.0, 0.5, model.get_params().shape))
+    backgrounds = rng.uniform(0.0, 1.0, (7, 16))
+    masks = (rng.random((7, 4, 4)) < 0.3).astype(np.uint8)
+    cfg = IntegratorConfig(method, 6)
+    batched = integrate_from_background(model, backgrounds, masks, cfg)
+    assert not np.allclose(batched, backgrounds)
+    for row, (bg, m) in enumerate(zip(backgrounds, masks)):
+        single = integrate_from_background(model, bg, m, cfg)
+        assert np.max(np.abs(batched[row] - single)) <= 1e-12
