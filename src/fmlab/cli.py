@@ -1,8 +1,9 @@
 """Command-line orchestration of training, synthesis policies, and evaluation.
 
 Subcommands: train, synthesize-indomain, synthesize-crossdomain, inject,
-split, evaluate, propagate, stats. Configs are plain key=value text files;
-the FMLAB_SEED environment variable overrides any configured seed. Exit
+split, evaluate, propagate, stats. Configs are plain key=value text files,
+and train rejects any key it does not read; the FMLAB_SEED environment
+variable overrides any configured seed. Exit
 codes: 0 success, 2 config/data error or numerical failure (a diverging ODE,
 non-finite training, a statistic outside its validity range), 3 evaluation
 mismatch.
@@ -48,6 +49,10 @@ EXIT_EVAL = 3
 # Most rows one ODE solve takes. Larger batches amortize the per-call and
 # per-step overhead; the cap bounds the solver's activations.
 _SOLVE_ROWS = 256
+
+# Default coverage binning: ten equal classes up to 5 % crack coverage.
+_NUM_CLASSES = 10
+_MAX_COVERAGE = 0.05
 
 
 # -- config files --------------------------------------------------------------
@@ -139,10 +144,10 @@ def _load_mask_dir(directory) -> tuple[list[np.ndarray], list[Path]]:
     return [rasters.load_mask(p) for p in files], files
 
 
-def _bins_from(cfg_like: dict[str, str] | None, num_classes: int, max_coverage: float):
-    if cfg_like is not None:
-        num_classes = int(cfg_like.get("num_classes", num_classes))
-        max_coverage = float(cfg_like.get("max_coverage", max_coverage))
+def _bins_from(cfg: dict[str, str]):
+    """Coverage binning named by a config or .meta sidecar, with the defaults."""
+    num_classes = int(cfg.get("num_classes", _NUM_CLASSES))
+    max_coverage = float(cfg.get("max_coverage", _MAX_COVERAGE))
     return mask_ops.uniform_bins(num_classes, max_coverage)
 
 
@@ -156,18 +161,12 @@ def _row_chunks(n: int) -> list[slice]:
     return [slice(a, min(a + _SOLVE_ROWS, n)) for a in range(0, n, _SOLVE_ROWS)]
 
 
-def _render_images(image_model: VelocityModel, mask_stack: np.ndarray, seeds, icfg) -> np.ndarray:
-    """Render images conditioned on masks, one base draw per record seed, in
+def _render_images(image_model: VelocityModel, mask_stack: np.ndarray, x0, icfg) -> np.ndarray:
+    """Render images conditioned on masks from their base noise rows x0, in
     batched solves of at most _SOLVE_ROWS rows."""
-    out = np.empty((len(seeds), image_model.data_dim))
-    for rows in _row_chunks(len(seeds)):
-        x0 = np.stack(
-            [
-                np.random.default_rng(int(s)).standard_normal(image_model.data_dim)
-                for s in seeds[rows]
-            ]
-        )
-        out[rows] = integrate(image_model, x0, mask_stack[rows], icfg)
+    out = np.empty_like(x0)
+    for rows in _row_chunks(len(x0)):
+        out[rows] = integrate(image_model, x0[rows], mask_stack[rows], icfg)
     return np.clip(out, 0.0, 1.0, out=out)
 
 
@@ -181,17 +180,39 @@ def _save_pair(out_dir: Path, stem: str, image: np.ndarray, mask: np.ndarray, si
 
 # -- train ----------------------------------------------------------------------
 
+# Each training task: the model mode it trains and the data keys it requires.
+_TASKS = {
+    "two_gaussians": (CLASS_CONDITIONAL, ()),
+    "mask_generator": (CLASS_CONDITIONAL, ("data_masks",)),
+    "image_renderer": (MASK_CONDITIONAL, ("data_masks", "data_images")),
+    "injector": (MASK_CONDITIONAL, ("data_masks", "data_images", "data_backgrounds")),
+}
+
+# Every key cmd_train reads, over all tasks; any other key is a config error.
+_TRAIN_KEYS = frozenset(
+    (
+        "task", "seed", "resolution", "width", "hidden_layers", "time_embed_dim",
+        "steps", "batch", "lr", "ema_decay", "p_drop", "log_every",
+        "n_per_class", "num_classes", "max_coverage", "sigma",
+        "data_masks", "data_images", "data_backgrounds",
+    )
+)
+
 
 def cmd_train(args) -> int:
     cfg = parse_config(args.config)
+    unknown = sorted(set(cfg) - _TRAIN_KEYS)
+    if unknown:
+        raise DomainError(f"unknown config key {', '.join(unknown)}")
     task = cfg.get("task")
-    if task not in ("two_gaussians", "mask_generator", "image_renderer", "injector"):
+    if task not in _TASKS:
         raise DomainError(f"config must set task to a known value, got {task!r}")
+    mode, data_keys = _TASKS[task]
+    for key in data_keys:
+        if key not in cfg:
+            raise DomainError(f"task {task} needs config key {key}")
     seed = effective_seed(int(cfg.get("seed", "0")))
     side = int(cfg.get("resolution", "16"))
-    width = int(cfg.get("width", "128"))
-    hidden_layers = int(cfg.get("hidden_layers", "2"))
-    time_embed_dim = int(cfg.get("time_embed_dim", "32"))
     tcfg = TrainConfig(
         steps=int(cfg.get("steps", "1000")),
         batch_size=int(cfg.get("batch", "64")),
@@ -201,98 +222,45 @@ def cmd_train(args) -> int:
         seed=seed,
     )
 
+    extra = {"task": task}
+    num_classes = 2  # two_gaussians; mask models have no label table
     if task == "two_gaussians":
+        data_dim = 2
         data = toys.two_gaussians(int(cfg.get("n_per_class", "500")), seed=seed + 1)
-        model = VelocityModel(
-            data_dim=2,
-            mode=CLASS_CONDITIONAL,
-            num_classes=2,
-            width=width,
-            hidden_layers=hidden_layers,
-            time_embed_dim=time_embed_dim,
-            seed=seed,
-        )
-        trainer = lambda cb: train_fm(model, data, linear_schedule(), tcfg, callback=cb)
-        extra = {"task": task}
-    elif task == "mask_generator":
-        mask_list, _ = _load_mask_dir(cfg["data_masks"])
-        bins = _bins_from(cfg, 10, 0.05)
-        stack = np.stack(mask_list)
-        if stack.shape[1:] != (side, side):
-            raise ShapeError(f"masks are {stack.shape[1:]}, config resolution is {side}")
-        labels = np.asarray(
-            [mask_ops.assign_class(mask_ops.coverage(m), bins) for m in mask_list], dtype=np.intp
-        )
-        model = VelocityModel(
-            data_dim=side * side,
-            mode=CLASS_CONDITIONAL,
-            num_classes=bins.num_classes,
-            width=width,
-            hidden_layers=hidden_layers,
-            time_embed_dim=time_embed_dim,
-            seed=seed,
-        )
-        data = (stack.reshape(len(mask_list), -1).astype(np.float64), labels)
-        trainer = lambda cb: train_fm(model, data, linear_schedule(), tcfg, callback=cb)
-        extra = {
-            "task": task,
-            "resolution": str(side),
-            "num_classes": str(bins.num_classes),
-            "max_coverage": cfg.get("max_coverage", "0.05"),
-        }
-    elif task == "image_renderer":
+    else:
+        data_dim = side * side
         mask_list, mask_files = _load_mask_dir(cfg["data_masks"])
-        image_dir = Path(cfg["data_images"])
+        masks = np.stack(mask_list)
+        if masks.shape[1:] != (side, side):
+            raise ShapeError(f"masks are {masks.shape[1:]}, config resolution is {side}")
+        extra["resolution"] = str(side)
+    if task == "mask_generator":
+        bins = _bins_from(cfg)
+        labels = [mask_ops.assign_class(mask_ops.coverage(m), bins) for m in mask_list]
+        data = (masks.reshape(len(masks), -1).astype(np.float64), np.asarray(labels, dtype=np.intp))
+        num_classes = bins.num_classes
+        extra["num_classes"] = str(num_classes)
+        extra["max_coverage"] = cfg.get("max_coverage", str(_MAX_COVERAGE))
+    elif mode == MASK_CONDITIONAL:
+        # Images pair with masks by file name.
         images = []
         for mf in mask_files:
-            img_path = image_dir / mf.name
+            img_path = Path(cfg["data_images"]) / mf.name
             if not img_path.exists():
                 raise DomainError(f"no image paired with mask {mf.name}")
             images.append(rasters.load_image(img_path).reshape(-1))
-        stack = np.stack(mask_list)
-        if stack.shape[1:] != (side, side):
-            raise ShapeError(f"masks are {stack.shape[1:]}, config resolution is {side}")
-        model = VelocityModel(
-            data_dim=side * side,
-            mode=MASK_CONDITIONAL,
-            mask_shape=(side, side),
-            width=width,
-            hidden_layers=hidden_layers,
-            time_embed_dim=time_embed_dim,
-            seed=seed,
-        )
-        data = (np.stack(images), stack.astype(np.float64))
-        trainer = lambda cb: train_fm(model, data, linear_schedule(), tcfg, callback=cb)
-        extra = {"task": task, "resolution": str(side)}
-    else:  # injector
-        mask_list, mask_files = _load_mask_dir(cfg["data_masks"])
-        image_dir = Path(cfg["data_images"])
-        images = []
-        for mf in mask_files:
-            img_path = image_dir / mf.name
-            if not img_path.exists():
-                raise DomainError(f"no image paired with mask {mf.name}")
-            images.append(rasters.load_image(img_path).reshape(-1))
-        bg_files = _sorted_files(cfg["data_backgrounds"])
-        backgrounds = np.stack([rasters.load_image(p).reshape(-1) for p in bg_files])
-        stack = np.stack(mask_list).astype(np.float64)
-        if stack.shape[1:] != (side, side):
-            raise ShapeError(f"masks are {stack.shape[1:]}, config resolution is {side}")
-        model = VelocityModel(
-            data_dim=side * side,
-            mode=MASK_CONDITIONAL,
-            mask_shape=(side, side),
-            width=width,
-            hidden_layers=hidden_layers,
-            time_embed_dim=time_embed_dim,
-            seed=seed,
-        )
-        sched = rectified_schedule(float(cfg.get("sigma", "0.1")))
-        trainer = lambda cb: train_rf_injector(
-            model, (np.stack(images), stack), backgrounds, sched, tcfg, callback=cb
-        )
-        extra = {"task": task, "resolution": str(side), "sigma": cfg.get("sigma", "0.1")}
+        data = (np.stack(images), masks.astype(np.float64))
 
+    model = VelocityModel(
+        data_dim=data_dim,
+        mode=mode,
+        num_classes=num_classes,
+        mask_shape=(side, side) if mode == MASK_CONDITIONAL else None,
+        width=int(cfg.get("width", "128")),
+        hidden_layers=int(cfg.get("hidden_layers", "2")),
+        time_embed_dim=int(cfg.get("time_embed_dim", "32")),
+        seed=seed,
+    )
     log_every = int(cfg.get("log_every", "50"))
     log_rows: list[tuple[int, float]] = []
 
@@ -300,7 +268,14 @@ def cmd_train(args) -> int:
         if step % log_every == 0 or step == tcfg.steps:
             log_rows.append((step, loss))
 
-    state = trainer(on_step)
+    if task == "injector":
+        bg_files = _sorted_files(cfg["data_backgrounds"])
+        backgrounds = np.stack([rasters.load_image(p).reshape(-1) for p in bg_files])
+        extra["sigma"] = cfg.get("sigma", "0.1")
+        sched = rectified_schedule(float(extra["sigma"]))
+        state = train_rf_injector(model, data, backgrounds, sched, tcfg, callback=on_step)
+    else:
+        state = train_fm(model, data, linear_schedule(), tcfg, callback=on_step)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, state.params, state.ema_params)
@@ -333,7 +308,7 @@ def _synthesize(
 ) -> list[ManifestRecord]:
     image_model, _ = load_model(image_model_path)
     side = int(mask_meta.get("resolution", int(np.sqrt(mask_model.data_dim))))
-    bins = _bins_from(mask_meta, 10, 0.05)
+    bins = _bins_from(mask_meta)
     if image_model.mode != MASK_CONDITIONAL:
         raise DomainError("image model must be mask_conditional")
     if image_model.mask_shape != (side, side):
@@ -346,13 +321,16 @@ def _synthesize(
     seeds = _record_seeds(base_seed, n_total)
     icfg = IntegratorConfig(method=method, steps=ode_steps, cfg_omega=cfg_omega)
 
-    # Per-record class draws and base noise, batched through the ODE.
+    # Each record's generator draws its class, its mask noise and its image
+    # noise, in that order; the rows are then batched through the ODE.
     labels = np.empty(n_total, dtype=np.intp)
     x0 = np.empty((n_total, side * side))
+    image_x0 = np.empty((n_total, image_model.data_dim))
     for i, s in enumerate(seeds):
         rng = np.random.default_rng(int(s))
         labels[i] = rng.choice(len(class_probs), p=class_probs)
         x0[i] = rng.standard_normal(side * side)
+        image_x0[i] = rng.standard_normal(image_model.data_dim)
     sampled = np.empty_like(x0)
     for rows in _row_chunks(n_total):
         sampled[rows] = integrate(mask_model, x0[rows], labels[rows], icfg)
@@ -370,7 +348,7 @@ def _synthesize(
             perturbed.append(mask_ops.propagate(m, policy)[0].mask)
         mask_stack = np.stack(perturbed)
 
-    images = _render_images(image_model, mask_stack.astype(np.float64), seeds, icfg)
+    images = _render_images(image_model, mask_stack.astype(np.float64), image_x0, icfg)
 
     records = []
     digits = len(str(max(n_total - 1, 1)))
@@ -398,7 +376,7 @@ def cmd_synthesize_indomain(args) -> int:
         raise DomainError(f"k must be >= 1, got {args.k}")
     n_total = args.k * args.real_count
     mask_model, mask_meta = load_model(args.mask_model)
-    bins = _bins_from(mask_meta, 10, 0.05)
+    bins = _bins_from(mask_meta)
     class_probs = np.full(bins.num_classes, 1.0 / bins.num_classes)
     records = _synthesize(
         mask_model,
@@ -423,7 +401,7 @@ def cmd_synthesize_crossdomain(args) -> int:
     x_target = len(target_masks)
     n_total = math.ceil(args.multiplier * x_target)
     mask_model, mask_meta = load_model(args.mask_model)
-    bins = _bins_from(mask_meta, 10, 0.05)
+    bins = _bins_from(mask_meta)
     seed = effective_seed(args.seed)
     stats = mask_ops.estimate_target_stats(target_masks, args.fraction, bins, seed=seed)
     print(
@@ -671,9 +649,9 @@ def cmd_propagate(args) -> int:
                 )
             )
     if image_model is not None and variants:
-        images = _render_images(
-            image_model, np.stack(variants).astype(np.float64), variant_seeds, icfg
-        )
+        dim = image_model.data_dim
+        x0 = np.stack([np.random.default_rng(int(s)).standard_normal(dim) for s in variant_seeds])
+        images = _render_images(image_model, np.stack(variants).astype(np.float64), x0, icfg)
         for rec, image, mask in zip(records, images, variants):
             rasters.save_image(out_dir / rec.image_path, image.reshape(mask.shape))
     write_manifest(out_dir / "manifest.tsv", records, comments=skipped or None)
@@ -739,8 +717,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_synthesize_crossdomain)
 
     def add_binning_flags(p):
-        p.add_argument("--num-classes", type=int, default=10)
-        p.add_argument("--max-coverage", type=float, default=0.05)
+        p.add_argument("--num-classes", type=int, default=_NUM_CLASSES)
+        p.add_argument("--max-coverage", type=float, default=_MAX_COVERAGE)
 
     p = sub.add_parser("inject", help="render masks onto backgrounds via the injector model")
     p.add_argument("--model", required=True)

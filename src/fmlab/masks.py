@@ -242,9 +242,9 @@ def propagate(m, policy: PropagationPolicy) -> list[MaskVariant]:
 
         cand = m
         for _ in range(n_d):
-            cand = _window_restricted(cand, dilate, rng) if local else dilate(cand)
+            cand = _window_restricted(cand, _dilate, rng) if local else _dilate(cand)
         for _ in range(n_e):
-            cand = _window_restricted(cand, erode, rng) if local else erode(cand)
+            cand = _window_restricted(cand, _erode, rng) if local else _erode(cand)
         cand = translate(cand, dx, dy)
         tag = f"dilate={n_d};erode={n_e};local={int(local)};jitter=({dx},{dy})"
 

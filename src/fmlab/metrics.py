@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError, ShapeError
 from .masks import as_mask
+from .neural import _sigmoid
 
 __all__ = [
     "fid",
@@ -32,15 +33,6 @@ __all__ = [
 
 _TVERSKY_EPS = 1e-6
 _SQRT_RESIDUAL_TOL = 1e-6
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def _check_feature_set(a, name: str) -> np.ndarray:

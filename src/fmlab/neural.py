@@ -342,6 +342,10 @@ class TrainConfig:
     p_drop: float = 0.1
     seed: int = 0
 
+    def __post_init__(self):
+        if not 0.0 <= self.p_drop <= 1.0:
+            raise DomainError(f"p_drop must lie in [0,1], got {self.p_drop}")
+
 
 @dataclass
 class TrainState:
@@ -452,6 +456,14 @@ def _train_loop(
     return state
 
 
+def _drop_conditions(model: VelocityModel, y: np.ndarray, drop: np.ndarray):
+    """Prepared conditioning for a fresh batch y (overwritten in place) whose
+    rows flagged in drop become the null condition: the null label for class
+    models, the all-zeros mask for mask models."""
+    y[drop] = model.num_classes if model.mode == CLASS_CONDITIONAL else 0.0
+    return model._prepare_cond(y, len(y))
+
+
 def train_fm(
     model: VelocityModel,
     dataset: tuple[np.ndarray, np.ndarray],
@@ -475,7 +487,7 @@ def train_fm(
     n = x1_all.shape[0]
     if n == 0:
         raise DomainError("dataset is empty")
-    null_idx = model.num_classes
+    cond_dtype = np.intp if model.mode == CLASS_CONDITIONAL else np.float64
 
     def draw(rng: np.random.Generator):
         idx = rng.integers(0, n, config.batch_size)
@@ -484,14 +496,7 @@ def train_fm(
         xi = rng.standard_normal(x1.shape)
         t = rng.random(config.batch_size)
         drop = rng.random(config.batch_size) < config.p_drop
-        if model.mode == CLASS_CONDITIONAL:
-            labels = y_all[idx].astype(np.intp).copy()
-            labels[drop] = null_idx
-            cond = model._prepare_cond(labels, config.batch_size)
-        else:
-            m = y_all[idx].astype(np.float64).copy()
-            m[drop] = 0.0
-            cond = model._prepare_cond(m, config.batch_size)
+        cond = _drop_conditions(model, y_all[idx].astype(cond_dtype), drop)
         xt = interpolate(sched, x0, x1, xi, t)
         ut = target_velocity(sched, x0, x1, xi, t)
         return xt, t, ut, cond
@@ -534,10 +539,8 @@ def train_rf_injector(
         eps = rng.standard_normal(x1.shape)
         t = rng.random(config.batch_size)
         drop = rng.random(config.batch_size) < config.p_drop
-        m = mask_arr[idx].copy()
-        m[drop] = 0.0
         xt, ut = rectified_interpolate(sched, x0, x1, eps, t)
-        return xt, t, ut, model._prepare_cond(m, config.batch_size)
+        return xt, t, ut, _drop_conditions(model, mask_arr[idx], drop)
 
     return _train_loop(model, config, draw, callback)
 

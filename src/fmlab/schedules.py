@@ -25,7 +25,6 @@ __all__ = [
     "fm_loss",
     "rectified_interpolate",
     "cfg_combine",
-    "condition_dropout",
 ]
 
 
@@ -216,19 +215,3 @@ def cfg_combine(v_cond, v_uncond, omega: float):
         return v_cond.copy()
     return v_uncond + omega * (v_cond - v_uncond)
 
-
-def condition_dropout(y, p_drop: float, rng: np.random.Generator):
-    """Replace y with its null condition with probability p_drop.
-
-    Mask conditioning (ndarray y) drops to the all-zeros mask; class
-    conditioning (anything else) drops to None, the null-token sentinel.
-    Consumes exactly one uniform draw, so results are reproducible from the
-    generator's seed.
-    """
-    if not 0.0 <= p_drop <= 1.0:
-        raise DomainError(f"p_drop must lie in [0,1], got {p_drop}")
-    if rng.random() < p_drop:
-        if isinstance(y, np.ndarray):
-            return np.zeros_like(y)
-        return None
-    return y

@@ -155,6 +155,31 @@ def test_fmlab_seed_env_overrides_config(tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_train_rejects_unknown_config_key(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "typo.cfg", task="two_gaussians", step=3, width=8, time_embed_dim=8,
+        n_per_class=10,
+    )
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "x.fmck")]) == 2
+    assert "error: unknown config key step" in capsys.readouterr().err
+    assert not (tmp_path / "x.fmck").exists()
+
+
+def test_train_names_the_missing_data_key(tmp_path, capsys):
+    cfg = write_config(tmp_path / "bare.cfg", task="mask_generator", steps=5, resolution=8)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "x.fmck")]) == 2
+    assert "error: task mask_generator needs config key data_masks" in capsys.readouterr().err
+
+
+def test_train_rejects_p_drop_outside_unit_interval(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "p.cfg", task="two_gaussians", steps=5, batch=4, width=8, time_embed_dim=8,
+        n_per_class=10, p_drop=1.5,
+    )
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "x.fmck")]) == 2
+    assert "p_drop must lie in [0,1]" in capsys.readouterr().err
+
+
 def test_train_missing_data_exits_2(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "bad.cfg", task="mask_generator", data_masks=tmp_path / "nope",
@@ -197,6 +222,37 @@ def test_synthesize_indomain_counts_and_closure(workspace, tmp_path):
         again = tmp_path / "rt.pgm"
         save_mask(again, load_mask(src))
         assert src.read_bytes() == again.read_bytes()
+
+
+def test_synthesize_draws_independent_mask_and_image_noise(workspace, tmp_path, monkeypatch):
+    # Each record's generator draws its class, then its mask noise, then its
+    # image noise; neither noise may be a shifted copy of the other.
+    calls = []
+    real_integrate = cli.integrate
+
+    def spy(model, x0, cond, icfg):
+        calls.append(x0.copy())
+        return real_integrate(model, x0, cond, icfg)
+
+    monkeypatch.setattr(cli, "integrate", spy)
+    argv = [
+        "synthesize-indomain",
+        "--mask-model", str(workspace / "mask.fmck"),
+        "--image-model", str(workspace / "render.fmck"),
+        "--real-count", "4",
+        "--k", "1",
+        "--seed", "3",
+        "--ode-steps", "2",
+        "--out", str(tmp_path / "noise"),
+    ]
+    assert main(argv) == 0
+    mask_x0, image_x0 = calls
+    for i, s in enumerate(cli._record_seeds(3, 4)):
+        assert np.intersect1d(mask_x0[i], image_x0[i]).size == 0
+        rng = np.random.default_rng(int(s))
+        rng.choice(2, p=[0.5, 0.5])
+        assert np.array_equal(rng.standard_normal(64), mask_x0[i])
+        assert np.array_equal(rng.standard_normal(64), image_x0[i])
 
 
 def test_synthesize_indomain_k1(workspace, tmp_path):
@@ -687,8 +743,9 @@ def test_propagate_renders_each_variant_with_its_own_seed(workspace, tmp_path):
             rec = records[3 * i + j]
             assert rec.image_path == f"images/prop_{i:04d}_{j}.pgm"
             assert np.array_equal(load_mask(out / rec.mask_path), variant.mask)
+            x0 = np.random.default_rng(int(seeds[j])).standard_normal((1, 64))
             expected = cli._render_images(
-                image_model, variant.mask[None].astype(np.float64), seeds[j : j + 1], icfg
+                image_model, variant.mask[None].astype(np.float64), x0, icfg
             )
             image = load_image(out / rec.image_path)
             assert np.max(np.abs(image - expected[0].reshape(8, 8))) <= 1.0 / 255

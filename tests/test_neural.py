@@ -471,6 +471,48 @@ def test_train_fm_loss_decreases_on_fixed_task():
     assert np.mean(losses[-10:]) < np.mean(losses[:10])
 
 
+@pytest.mark.parametrize("p_drop", [-0.1, 1.5, float("nan")])
+def test_train_config_rejects_p_drop_outside_unit_interval(p_drop):
+    with pytest.raises(DomainError, match="p_drop"):
+        TrainConfig(p_drop=p_drop)
+
+
+@pytest.mark.parametrize(
+    "p_drop, frozen, trained", [(1.0, slice(0, 2), slice(2, 3)), (0.0, slice(2, 3), slice(0, 2))]
+)
+def test_train_fm_dropout_extremes_leave_unused_label_rows_untouched(p_drop, frozen, trained):
+    # Row 2 is the null label: p_drop=1 feeds only it, p_drop=0 never does.
+    model = VelocityModel(data_dim=2, num_classes=2, width=8, seed=1)
+    before = model._p["emb"].copy()
+    train_fm(
+        model,
+        toys.two_gaussians(20, seed=3),
+        linear_schedule(),
+        TrainConfig(steps=20, batch_size=8, p_drop=p_drop, seed=2),
+    )
+    emb = model._p["emb"]
+    assert np.array_equal(emb[frozen], before[frozen])
+    assert not np.array_equal(emb[trained], before[trained])
+
+
+def test_train_rf_injector_p_drop_one_sees_only_empty_masks():
+    # A dropped mask is all zeros, so the weights reading its foreground
+    # channel never receive a gradient.
+    images, masks, backgrounds = toys.dark_line_task(n_pairs=4, n_backgrounds=2, side=4, seed=7)
+    model = VelocityModel(data_dim=16, mode=MASK_CONDITIONAL, mask_shape=(4, 4), width=8, seed=2)
+    before = model._p["w_in"].copy()
+    train_rf_injector(
+        model,
+        (images, masks),
+        backgrounds,
+        rectified_schedule(0.0),
+        TrainConfig(steps=20, batch_size=8, p_drop=1.0, seed=3),
+    )
+    w_in = model._p["w_in"]
+    assert np.array_equal(w_in[16:32], before[16:32])
+    assert not np.array_equal(w_in[32:], before[32:])
+
+
 def test_train_fm_rejects_empty_dataset():
     model = VelocityModel(data_dim=2, num_classes=2, width=8, seed=1)
     with pytest.raises(DomainError):

@@ -6,7 +6,6 @@ from fmlab.schedules import (
     PathSchedule,
     _validate_schedule,
     cfg_combine,
-    condition_dropout,
     fm_loss,
     interpolate,
     linear_schedule,
@@ -186,31 +185,6 @@ def test_cfg_combine_is_affine():
     rhs = cfg_combine(a, b, omega) + cfg_combine(c, d, omega)
     assert np.allclose(lhs, rhs)
 
-
-def test_condition_dropout_extremes():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        assert condition_dropout(3, 0.0, rng) == 3
-        assert condition_dropout(3, 1.0, rng) is None
-    mask = np.ones((2, 2))
-    dropped = condition_dropout(mask, 1.0, rng)
-    assert np.array_equal(dropped, np.zeros((2, 2)))
-
-
-def test_condition_dropout_monte_carlo_rate():
-    # 1e5 seeded draws; empirical drop fraction within 0.1 +/- 0.005.
-    rng = np.random.default_rng(12)
-    n = 100_000
-    drops = sum(condition_dropout(1, 0.1, rng) is None for _ in range(n))
-    assert abs(drops / n - 0.1) <= 0.005
-
-
-def test_condition_dropout_rejects_bad_probability():
-    rng = np.random.default_rng(13)
-    with pytest.raises(DomainError):
-        condition_dropout(1, -0.2, rng)
-    with pytest.raises(DomainError):
-        condition_dropout(1, 1.2, rng)
 
 
 def test_schedule_factory_validation_catches_drift():
