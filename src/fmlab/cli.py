@@ -102,8 +102,8 @@ def _write_meta(path, model: VelocityModel, extra: dict[str, str]) -> None:
             fh.write(f"{key}={value}\n")
 
 
-def load_model(checkpoint_path, use_ema: bool = True) -> tuple[VelocityModel, dict[str, str]]:
-    """Rebuild a model from a checkpoint and its .meta sidecar."""
+def load_model(checkpoint_path) -> tuple[VelocityModel, dict[str, str]]:
+    """Rebuild a model with its EMA weights from a checkpoint and its .meta sidecar."""
     meta_path = str(checkpoint_path) + ".meta"
     if not os.path.exists(meta_path):
         raise DomainError(f"missing checkpoint metadata {meta_path}")
@@ -121,8 +121,8 @@ def load_model(checkpoint_path, use_ema: bool = True) -> tuple[VelocityModel, di
         time_embed_dim=int(meta["time_embed_dim"]),
         seed=0,
     )
-    params, ema = load_checkpoint(checkpoint_path)
-    model.set_params(ema if use_ema else params)
+    _, ema = load_checkpoint(checkpoint_path)
+    model.set_params(ema)
     return model, meta
 
 
@@ -170,12 +170,31 @@ def _render_images(image_model: VelocityModel, mask_stack: np.ndarray, x0, icfg)
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def _save_pair(out_dir: Path, stem: str, image: np.ndarray, mask: np.ndarray, side: int):
-    image_rel = f"images/{stem}.pgm"
-    mask_rel = f"masks/{stem}.pgm"
-    rasters.save_image(out_dir / image_rel, image.reshape(side, side))
-    rasters.save_mask(out_dir / mask_rel, mask.reshape(side, side))
-    return image_rel, mask_rel
+def _write_records(out_dir: Path, rows, strategy: str, bins, comments) -> int:
+    """Write each row (stem, image or None, mask, seed, provenance) as
+    masks/<stem>.pgm, plus images/<stem>.pgm when it has an image, and list
+    them all in out_dir/manifest.tsv; returns the number of records."""
+    (out_dir / "masks").mkdir(parents=True, exist_ok=True)
+    records = []
+    for stem, image, mask, seed, provenance in rows:
+        image_rel, mask_rel = "", f"masks/{stem}.pgm"
+        if image is not None:
+            image_rel = f"images/{stem}.pgm"
+            (out_dir / "images").mkdir(exist_ok=True)
+            rasters.save_image(out_dir / image_rel, image.reshape(mask.shape))
+        rasters.save_mask(out_dir / mask_rel, mask)
+        records.append(
+            ManifestRecord(
+                image_path=image_rel,
+                mask_path=mask_rel,
+                coverage_class=mask_ops.assign_class(mask_ops.coverage(mask), bins),
+                strategy=strategy,
+                seed=int(seed),
+                provenance=provenance,
+            )
+        )
+    write_manifest(out_dir / "manifest.tsv", records, comments=comments or None)
+    return len(records)
 
 
 # -- train ----------------------------------------------------------------------
@@ -292,34 +311,28 @@ def cmd_train(args) -> int:
 
 
 def _synthesize(
+    args,
     mask_model: VelocityModel,
     mask_meta: dict[str, str],
-    image_model_path,
     n_total: int,
     class_probs: np.ndarray,
-    out_dir: Path,
-    base_seed: int,
-    ode_steps: int,
-    cfg_omega: float,
-    method: str,
-    provenance_prefix: str,
+    prefix: str,
+    header: list[str],
     perturb: bool = False,
-    header: list[str] | None = None,
-) -> list[ManifestRecord]:
-    image_model, _ = load_model(image_model_path)
+) -> None:
+    """Sample n_total masks from mask_model with classes drawn from
+    class_probs, render an image for each with args.image_model, and write the
+    pairs under args.out with the manifest comment lines header."""
+    image_model, _ = load_model(args.image_model)
     side = int(mask_meta.get("resolution", int(np.sqrt(mask_model.data_dim))))
-    bins = _bins_from(mask_meta)
     if image_model.mode != MASK_CONDITIONAL:
         raise DomainError("image model must be mask_conditional")
     if image_model.mask_shape != (side, side):
         raise ShapeError(
             f"image model mask_shape {image_model.mask_shape} does not match mask side {side}"
         )
-
-    (out_dir / "images").mkdir(parents=True, exist_ok=True)
-    (out_dir / "masks").mkdir(parents=True, exist_ok=True)
-    seeds = _record_seeds(base_seed, n_total)
-    icfg = IntegratorConfig(method=method, steps=ode_steps, cfg_omega=cfg_omega)
+    seeds = _record_seeds(effective_seed(args.seed), n_total)
+    icfg = IntegratorConfig(method=args.method, steps=args.ode_steps, cfg_omega=args.cfg_omega)
 
     # Each record's generator draws its class, its mask noise and its image
     # noise, in that order; the rows are then batched through the ODE.
@@ -337,38 +350,22 @@ def _synthesize(
     mask_stack = (sampled >= 0.5).astype(np.uint8).reshape(n_total, side, side)
 
     if perturb:
-        perturbed = []
         for i, m in enumerate(mask_stack):
-            if m.sum() == 0:
-                perturbed.append(m)
-                continue
-            policy = mask_ops.PropagationPolicy(
-                variants=1, max_dilate=1, max_erode=1, jitter_px=0, seed=int(seeds[i])
-            )
-            perturbed.append(mask_ops.propagate(m, policy)[0].mask)
-        mask_stack = np.stack(perturbed)
+            if m.any():
+                policy = mask_ops.PropagationPolicy(
+                    variants=1, max_dilate=1, max_erode=1, jitter_px=0, seed=int(seeds[i])
+                )
+                mask_stack[i] = mask_ops.propagate(m, policy)[0].mask
 
     images = _render_images(image_model, mask_stack.astype(np.float64), image_x0, icfg)
-
-    records = []
     digits = len(str(max(n_total - 1, 1)))
-    for i in range(n_total):
-        stem = f"{provenance_prefix}_{i:0{digits}d}"
-        image_rel, mask_rel = _save_pair(out_dir, stem, images[i], mask_stack[i], side)
-        cov_class = mask_ops.assign_class(mask_ops.coverage(mask_stack[i]), bins)
-        records.append(
-            ManifestRecord(
-                image_path=image_rel,
-                mask_path=mask_rel,
-                coverage_class=cov_class,
-                strategy="A_mask_gen",
-                seed=int(seeds[i]),
-                provenance=f"{provenance_prefix};requested_class={labels[i]}"
-                + (";perturbed" if perturb else ""),
-            )
-        )
-    write_manifest(out_dir / "manifest.tsv", records, comments=header)
-    return records
+    tag = ";perturbed" if perturb else ""
+    rows = [
+        (f"{prefix}_{i:0{digits}d}", image, m, s, f"{prefix};requested_class={c}{tag}")
+        for i, (image, m, s, c) in enumerate(zip(images, mask_stack, seeds, labels))
+    ]
+    n = _write_records(Path(args.out), rows, "A_mask_gen", _bins_from(mask_meta), header)
+    print(f"synthesized {n} pairs into {args.out}")
 
 
 def cmd_synthesize_indomain(args) -> int:
@@ -378,21 +375,8 @@ def cmd_synthesize_indomain(args) -> int:
     mask_model, mask_meta = load_model(args.mask_model)
     bins = _bins_from(mask_meta)
     class_probs = np.full(bins.num_classes, 1.0 / bins.num_classes)
-    records = _synthesize(
-        mask_model,
-        mask_meta,
-        args.image_model,
-        n_total,
-        class_probs,
-        Path(args.out),
-        effective_seed(args.seed),
-        args.ode_steps,
-        args.cfg_omega,
-        args.method,
-        "indomain",
-        header=[f"policy=indomain x={args.real_count} k={args.k} total={n_total}"],
-    )
-    print(f"synthesized {len(records)} pairs into {args.out}")
+    header = [f"policy=indomain x={args.real_count} k={args.k} total={n_total}"]
+    _synthesize(args, mask_model, mask_meta, n_total, class_probs, "indomain", header)
     return EXIT_OK
 
 
@@ -416,22 +400,9 @@ def cmd_synthesize_crossdomain(args) -> int:
         "histogram=" + ",".join(repr(float(v)) for v in stats.histogram),
         f"mean_width={repr(stats.mean_width)}",
     ]
-    records = _synthesize(
-        mask_model,
-        mask_meta,
-        args.image_model,
-        n_total,
-        stats.histogram,
-        Path(args.out),
-        seed,
-        args.ode_steps,
-        args.cfg_omega,
-        args.method,
-        "crossdomain",
-        perturb=args.perturb,
-        header=header,
+    _synthesize(
+        args, mask_model, mask_meta, n_total, stats.histogram, "crossdomain", header, args.perturb
     )
-    print(f"synthesized {len(records)} pairs into {args.out}")
     return EXIT_OK
 
 
@@ -457,11 +428,7 @@ def cmd_inject(args) -> int:
     # Each distinct raster is read once, however many pairs use it.
     backgrounds = {p: rasters.load_image(p) for p in dict.fromkeys(b for b, _ in pairs)}
     mask_rasters = {p: rasters.load_mask(p) for p in dict.fromkeys(m for _, m in pairs)}
-    out_dir = Path(args.out)
-    (out_dir / "images").mkdir(parents=True, exist_ok=True)
-    (out_dir / "masks").mkdir(parents=True, exist_ok=True)
     icfg = IntegratorConfig(method=args.method, steps=args.ode_steps)
-    bins = mask_ops.uniform_bins(args.num_classes, args.max_coverage)
     seed = effective_seed(args.seed)
 
     dims = (side, side)
@@ -474,29 +441,22 @@ def cmd_inject(args) -> int:
         else:
             kept.append(i)
 
-    records = []
-    digits = len(str(max(len(pairs) - 1, 1)))
+    kept_masks = [mask_rasters[pairs[i][1]] for i in kept]
+    images = np.empty((len(kept), model.data_dim))
     for rows in _row_chunks(len(kept)):
-        idx = kept[rows]
-        bg_stack = np.stack([backgrounds[pairs[i][0]].reshape(-1) for i in idx])
-        mask_stack = np.stack([mask_rasters[pairs[i][1]] for i in idx])
-        images = np.clip(integrate_from_background(model, bg_stack, mask_stack, icfg), 0.0, 1.0)
-        for i, image, mask in zip(idx, images, mask_stack):
-            bg_path, mask_path = pairs[i]
-            image_rel, mask_rel = _save_pair(out_dir, f"inject_{i:0{digits}d}", image, mask, side)
-            records.append(
-                ManifestRecord(
-                    image_path=image_rel,
-                    mask_path=mask_rel,
-                    coverage_class=mask_ops.assign_class(mask_ops.coverage(mask), bins),
-                    strategy="C_background_injected",
-                    seed=seed,
-                    provenance=f"inject;background={bg_path.name};mask={mask_path.name}",
-                )
-            )
-    write_manifest(out_dir / "manifest.tsv", records, comments=notes or None)
-    skipped = len(pairs) - len(kept)
-    print(f"injected {len(records)} pairs into {args.out} ({skipped} skipped)")
+        bg_stack = np.stack([backgrounds[pairs[i][0]].reshape(-1) for i in kept[rows]])
+        images[rows] = integrate_from_background(model, bg_stack, np.stack(kept_masks[rows]), icfg)
+    np.clip(images, 0.0, 1.0, out=images)
+
+    digits = len(str(max(len(pairs) - 1, 1)))
+    provenance = "inject;background={0.name};mask={1.name}"
+    rows = [
+        (f"inject_{i:0{digits}d}", image, mask, seed, provenance.format(*pairs[i]))
+        for i, image, mask in zip(kept, images, kept_masks)
+    ]
+    bins = mask_ops.uniform_bins(args.num_classes, args.max_coverage)
+    n = _write_records(Path(args.out), rows, "C_background_injected", bins, notes)
+    print(f"injected {n} pairs into {args.out} ({len(pairs) - len(kept)} skipped)")
     return EXIT_OK
 
 
@@ -605,18 +565,11 @@ def cmd_evaluate(args) -> int:
 
 def cmd_propagate(args) -> int:
     mask_list, files = _load_mask_dir(args.masks)
-    out_dir = Path(args.out)
-    (out_dir / "masks").mkdir(parents=True, exist_ok=True)
-    image_model = None
-    if args.image_model:
-        image_model, _ = load_model(args.image_model)
-        (out_dir / "images").mkdir(parents=True, exist_ok=True)
+    image_model = load_model(args.image_model)[0] if args.image_model else None
     seed = effective_seed(args.seed)
-    bins = mask_ops.uniform_bins(args.num_classes, args.max_coverage)
-    icfg = IntegratorConfig(method=args.method, steps=args.ode_steps)
     preserve = not args.allow_topology_change
 
-    records, variants, variant_seeds, skipped = [], [], [], []
+    rows, render_seeds, skipped = [], [], []
     for i, (m, src) in enumerate(zip(mask_list, files)):
         if preserve and not m.any():
             msg = f"skipped mask {src.name}: empty, so its connectivity cannot be preserved"
@@ -631,31 +584,22 @@ def cmd_propagate(args) -> int:
             preserve_connectivity=preserve,
             seed=seed + i,
         )
-        seeds = _record_seeds(seed + i, args.k)
+        render_seeds.extend(_record_seeds(seed + i, args.k))
         for j, variant in enumerate(mask_ops.propagate(m, policy)):
-            stem = f"prop_{i:04d}_{j}"
-            mask_rel = f"masks/{stem}.pgm"
-            rasters.save_mask(out_dir / mask_rel, variant.mask)
-            variants.append(variant.mask)
-            variant_seeds.append(seeds[j])
-            records.append(
-                ManifestRecord(
-                    image_path=f"images/{stem}.pgm" if image_model is not None else "",
-                    mask_path=mask_rel,
-                    coverage_class=mask_ops.assign_class(mask_ops.coverage(variant.mask), bins),
-                    strategy="B_propagated",
-                    seed=seed + i,
-                    provenance=f"base={src.name};variant={j};{variant.provenance}",
-                )
-            )
-    if image_model is not None and variants:
+            provenance = f"base={src.name};variant={j};{variant.provenance}"
+            rows.append((f"prop_{i:04d}_{j}", None, variant.mask, seed + i, provenance))
+
+    if image_model is not None and rows:
+        # Each variant renders from its own record seed.
         dim = image_model.data_dim
-        x0 = np.stack([np.random.default_rng(int(s)).standard_normal(dim) for s in variant_seeds])
-        images = _render_images(image_model, np.stack(variants).astype(np.float64), x0, icfg)
-        for rec, image, mask in zip(records, images, variants):
-            rasters.save_image(out_dir / rec.image_path, image.reshape(mask.shape))
-    write_manifest(out_dir / "manifest.tsv", records, comments=skipped or None)
-    print(f"propagated {len(files) - len(skipped)} masks into {len(records)} variants")
+        x0 = np.stack([np.random.default_rng(int(s)).standard_normal(dim) for s in render_seeds])
+        mask_stack = np.stack([r[2] for r in rows]).astype(np.float64)
+        icfg = IntegratorConfig(method=args.method, steps=args.ode_steps)
+        images = _render_images(image_model, mask_stack, x0, icfg)
+        rows = [(r[0], image, *r[2:]) for r, image in zip(rows, images)]
+    bins = mask_ops.uniform_bins(args.num_classes, args.max_coverage)
+    n = _write_records(Path(args.out), rows, "B_propagated", bins, skipped)
+    print(f"propagated {len(files) - len(skipped)} masks into {n} variants")
     return EXIT_OK
 
 
@@ -773,18 +717,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # DomainError and ShapeError are ValueErrors, so they exit 2 here too.
     try:
         return args.fn(args)
-    except (
-        DomainError,
-        ShapeError,
-        OSError,
-        KeyError,
-        ValueError,
-        DivergenceError,
-        TrainingError,
-        NumericError,
-    ) as exc:
+    except (OSError, KeyError, ValueError, DivergenceError, TrainingError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

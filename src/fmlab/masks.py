@@ -135,9 +135,7 @@ def erode(m, se=SE3) -> np.ndarray:
     return _erode(as_mask(m), _check_se(se))
 
 
-def translate(m, dx: int, dy: int) -> np.ndarray:
-    """Shift right by dx and down by dy; pixels moved past a border vanish."""
-    m = as_mask(m)
+def _translate(m: np.ndarray, dx: int, dy: int) -> np.ndarray:
     out = np.zeros_like(m)
     h, w = m.shape
     src_rows = slice(max(0, -dy), min(h, h - dy))
@@ -148,10 +146,12 @@ def translate(m, dx: int, dy: int) -> np.ndarray:
     return out
 
 
-def connected_components(m) -> tuple[int, np.ndarray]:
-    """8-connected component count and label raster (labels start at 1, in
-    raster order of each component's first pixel)."""
-    m = as_mask(m)
+def translate(m, dx: int, dy: int) -> np.ndarray:
+    """Shift right by dx and down by dy; pixels moved past a border vanish."""
+    return _translate(as_mask(m), dx, dy)
+
+
+def _components(m: np.ndarray) -> tuple[int, np.ndarray]:
     h, w = m.shape
     # A zero border lets the flat neighbour offsets skip bounds checks.
     pw = w + 2
@@ -178,6 +178,12 @@ def connected_components(m) -> tuple[int, np.ndarray]:
                     stack.append(q)
     out = np.array(labels, dtype=np.int32).reshape(h + 2, pw)
     return count, np.ascontiguousarray(out[1:-1, 1:-1])
+
+
+def connected_components(m) -> tuple[int, np.ndarray]:
+    """8-connected component count and label raster (labels start at 1, in
+    raster order of each component's first pixel)."""
+    return _components(as_mask(m))
 
 
 @dataclass(frozen=True)
@@ -225,12 +231,13 @@ def propagate(m, policy: PropagationPolicy) -> list[MaskVariant]:
     dilation/erosion (globally or window-restricted) with an integer jitter,
     and, when preserve_connectivity is set, falls back to jitter-only (then
     identity) whenever the composition would empty the mask or split
-    components. Fallbacks are recorded in the variant provenance.
+    components. Fallbacks are recorded in the variant provenance. m is
+    validated once, up front.
     """
     m = as_mask(m)
     if policy.preserve_connectivity and m.sum() == 0:
         raise DomainError("cannot preserve connectivity of an empty mask")
-    base_components, _ = connected_components(m)
+    base_components, _ = _components(m)
     out: list[MaskVariant] = []
     for j in range(policy.variants):
         rng = np.random.default_rng([policy.seed, j])
@@ -245,13 +252,13 @@ def propagate(m, policy: PropagationPolicy) -> list[MaskVariant]:
             cand = _window_restricted(cand, _dilate, rng) if local else _dilate(cand)
         for _ in range(n_e):
             cand = _window_restricted(cand, _erode, rng) if local else _erode(cand)
-        cand = translate(cand, dx, dy)
+        cand = _translate(cand, dx, dy)
         tag = f"dilate={n_d};erode={n_e};local={int(local)};jitter=({dx},{dy})"
 
         if policy.preserve_connectivity:
-            n_comp, _ = connected_components(cand)
+            n_comp, _ = _components(cand)
             if cand.sum() == 0 or n_comp > base_components:
-                cand = translate(m, dx, dy)
+                cand = _translate(m, dx, dy)
                 tag += ";fallback=jitter_only"
                 if cand.sum() == 0:
                     cand = m.copy()

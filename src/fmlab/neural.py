@@ -575,6 +575,8 @@ def load_checkpoint(path) -> tuple[np.ndarray, np.ndarray]:
         raw = fh.read(16 * count)
         if len(raw) != 16 * count:
             raise DomainError("checkpoint truncated")
+        if fh.read(1):
+            raise DomainError("trailing bytes after checkpoint data")
     params = np.frombuffer(raw[: 8 * count], dtype="<f8").copy()
     ema = np.frombuffer(raw[8 * count :], dtype="<f8").copy()
     return params, ema

@@ -2,7 +2,9 @@
 
 Masks are stored as 0/255 PGM and thresholded at 128 on load; images travel
 as float rasters in [0,1], quantized to 8 bits on save. Grayscale images use
-PGM, 3-channel images PPM.
+PGM, 3-channel images PPM. Files are written with maxval 255; a file with a
+smaller maxval is rescaled to the 0-255 scale on load, so a mask thresholds
+at the midpoint of its maxval.
 """
 from __future__ import annotations
 
@@ -46,14 +48,26 @@ def _read_header(fh, magic: bytes) -> tuple[int, int, int]:
     return width, height, maxval
 
 
+def _load_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
+    """Read a binary P5/P6 raster as (H, W, channels) uint8 on the 0-255
+    scale: a pixel v under maxval m reads as round(v * 255 / m)."""
+    with open(path, "rb") as fh:
+        width, height, maxval = _read_header(fh, magic)
+        size = width * height * channels
+        data = fh.read(size)
+    if len(data) != size:
+        raise DomainError(f"truncated pixel data in {path}")
+    raster = np.frombuffer(data, dtype=np.uint8).reshape(height, width, channels)
+    if maxval == 255:
+        return raster.copy()
+    if raster.max(initial=0) > maxval:
+        raise DomainError(f"pixel value above maxval {maxval} in {path}")
+    return np.rint(raster * 255.0 / maxval).astype(np.uint8)
+
+
 def load_pgm(path) -> np.ndarray:
     """Read a P5 grayscale raster as (H, W) uint8."""
-    with open(path, "rb") as fh:
-        width, height, _ = _read_header(fh, b"P5")
-        data = fh.read(width * height)
-    if len(data) != width * height:
-        raise DomainError(f"truncated pixel data in {path}")
-    return np.frombuffer(data, dtype=np.uint8).reshape(height, width).copy()
+    return _load_netpbm(path, b"P5", 1)[:, :, 0]
 
 
 def save_pgm(path, raster: np.ndarray) -> None:
@@ -67,12 +81,7 @@ def save_pgm(path, raster: np.ndarray) -> None:
 
 def load_ppm(path) -> np.ndarray:
     """Read a P6 color raster as (H, W, 3) uint8."""
-    with open(path, "rb") as fh:
-        width, height, _ = _read_header(fh, b"P6")
-        data = fh.read(width * height * 3)
-    if len(data) != width * height * 3:
-        raise DomainError(f"truncated pixel data in {path}")
-    return np.frombuffer(data, dtype=np.uint8).reshape(height, width, 3).copy()
+    return _load_netpbm(path, b"P6", 3)
 
 
 def save_ppm(path, raster: np.ndarray) -> None:

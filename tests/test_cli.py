@@ -403,6 +403,8 @@ def test_inject_skips_mismatched_dims(workspace, tmp_path, capsys):
     records, comments = read_manifest(out / "manifest.tsv")
     assert records == []
     assert any("skipped pair" in c for c in comments)
+    # No pair kept, so no image written and no images/ directory.
+    assert assert_files_match_manifest(out) == []
 
 
 def test_inject_zip_reports_unpaired_files(workspace, tmp_path, capsys):
@@ -671,6 +673,44 @@ def test_evaluate_missing_counterpart_exits_3(tmp_path, capsys):
         == 3
     )
     assert "only_gt.pgm" in capsys.readouterr().err
+
+
+# -- record layout ------------------------------------------------------------------
+
+
+def assert_files_match_manifest(out):
+    """masks/ and images/ hold exactly the files the manifest names, and
+    images/ exists only when some record has an image."""
+    records = validate_manifest(out / "manifest.tsv")
+
+    def listed(sub):
+        return {f"{sub}/{p.name}" for p in (out / sub).iterdir()} if (out / sub).exists() else set()
+
+    image_paths = {r.image_path for r in records if r.image_path}
+    assert listed("masks") == {r.mask_path for r in records}
+    assert listed("images") == image_paths
+    assert (out / "images").exists() == bool(image_paths)
+    return records
+
+
+@pytest.mark.parametrize(
+    "command, n_records, with_images",
+    [
+        ("inject --model {ws}/inject.fmck --backgrounds {ws}/backgrounds", 4, True),
+        ("inject --model {ws}/inject.fmck --backgrounds {ws}/backgrounds --pairing cartesian",
+         4 * 12, True),
+        ("propagate --k 2", 12 * 2, False),
+        ("propagate --k 2 --image-model {ws}/render.fmck", 12 * 2, True),
+    ],
+)
+def test_outputs_hold_exactly_the_manifest_files(workspace, tmp_path, command, n_records, with_images):
+    argv = command.format(ws=workspace).split()
+    out = tmp_path / "out"
+    argv += ["--masks", str(workspace / "masks"), "--ode-steps", "2", "--out", str(out)]
+    assert main(argv) == 0
+    records = assert_files_match_manifest(out)
+    assert len(records) == n_records
+    assert all(bool(r.image_path) == with_images for r in records)
 
 
 # -- propagate / stats -----------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmlab.errors import DomainError, ShapeError
 from fmlab.manifest import ManifestRecord, read_manifest, validate_manifest, write_manifest
@@ -90,6 +92,60 @@ def test_raster_error_cases(tmp_path):
         save_mask(tmp_path / "m.pgm", np.full((2, 2), 2, dtype=np.uint8))
     with pytest.raises(ShapeError):
         save_image(tmp_path / "i.pgm", np.zeros((2, 2, 4)))
+
+
+def _write_netpbm(path, magic: str, shape, maxval: int, pixels) -> None:
+    header = f"{magic}\n{shape[1]} {shape[0]}\n{maxval}\n".encode("ascii")
+    path.write_bytes(header + np.asarray(pixels, dtype=np.uint8).tobytes())
+
+
+def test_maxval_below_255_rescales_on_load(tmp_path):
+    path = tmp_path / "binary.pgm"
+    _write_netpbm(path, "P5", (1, 2), 1, [1, 0])
+    assert load_mask(path).tolist() == [[1, 0]]
+    _write_netpbm(path, "P5", (1, 1), 15, [15])
+    assert load_image(path).tolist() == [[1.0]]
+    # Every maxval, every value: masks threshold at the midpoint, images land
+    # within half a gray level of v / maxval.
+    for maxval in range(1, 256):
+        values = np.arange(maxval + 1)
+        _write_netpbm(path, "P5", (1, maxval + 1), maxval, values)
+        assert np.array_equal(load_mask(path)[0], (2 * values >= maxval).astype(np.uint8))
+        assert np.max(np.abs(load_image(path)[0] - values / maxval)) <= 0.5 / 255 + 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.integers(1, 255).flatmap(
+        lambda maxval: st.tuples(
+            st.just(maxval),
+            st.sampled_from(["P5", "P6"]),
+            st.integers(1, 5),
+            st.integers(1, 5),
+            st.lists(st.integers(0, maxval), min_size=75, max_size=75),
+        )
+    )
+)
+def test_load_scales_every_maxval_to_0_255(tmp_path_factory, data):
+    maxval, magic, h, w, pool = data
+    channels = 3 if magic == "P6" else 1
+    shape = (h, w, 3) if channels == 3 else (h, w)
+    values = np.array(pool[: h * w * channels]).reshape(shape)
+    path = tmp_path_factory.getbasetemp() / f"maxval.{'ppm' if channels == 3 else 'pgm'}"
+    _write_netpbm(path, magic, shape, maxval, values.ravel())
+    raw = (load_ppm if channels == 3 else load_pgm)(path)
+    assert raw.dtype == np.uint8 and raw.shape == shape
+    assert raw.ravel().tolist() == [round(v * 255 / maxval) for v in values.ravel().tolist()]
+    assert np.max(np.abs(load_image(path) - values / maxval)) <= 0.5 / 255 + 1e-12
+    if channels == 1:
+        assert np.array_equal(load_mask(path), (2 * values >= maxval).astype(np.uint8))
+
+
+def test_pixel_above_maxval_is_rejected(tmp_path):
+    path = tmp_path / "over.pgm"
+    _write_netpbm(path, "P5", (1, 2), 15, [3, 16])
+    with pytest.raises(DomainError, match="above maxval"):
+        load_pgm(path)
 
 
 # -- manifest -----------------------------------------------------------------

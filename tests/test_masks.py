@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmlab import masks as masks_module
 from fmlab.errors import DomainError, ShapeError
 from fmlab.masks import (
     CoverageBinning,
@@ -330,6 +331,22 @@ def test_propagate_three_variants_properties():
         assert connected_components(mask)[0] <= base_components
     distinct = {mask.tobytes() for mask in rasters}
     assert len(distinct) == 3
+
+
+def test_propagate_validates_its_input_once(monkeypatch):
+    calls = []
+    real_as_mask = masks_module.as_mask
+
+    def counting_as_mask(m):
+        calls.append(1)
+        return real_as_mask(m)
+
+    monkeypatch.setattr(masks_module, "as_mask", counting_as_mask)
+    base = np.zeros((16, 16), dtype=np.uint8)
+    base[8, 2:14] = 1
+    policy = PropagationPolicy(variants=10, max_dilate=1, max_erode=1, jitter_px=1, seed=3)
+    assert len(propagate(base, policy)) == 10
+    assert len(calls) == 1
 
 
 def test_propagate_deterministic_golden():

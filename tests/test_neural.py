@@ -624,3 +624,12 @@ def test_checkpoint_rejects_corruption(tmp_path):
     short.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(DomainError):
         load_checkpoint(short)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "model.fmck"
+    save_checkpoint(path, np.zeros(4), np.zeros(4))
+    padded = tmp_path / "padded.fmck"
+    padded.write_bytes(path.read_bytes() + b"garbage")
+    with pytest.raises(DomainError, match="trailing bytes"):
+        load_checkpoint(padded)
