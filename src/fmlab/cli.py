@@ -3,14 +3,15 @@
 Subcommands: train, synthesize-indomain, synthesize-crossdomain, inject,
 split, evaluate, propagate, stats. Configs are plain key=value text files,
 and train rejects any key it does not read; the FMLAB_SEED environment
-variable overrides any configured seed. Exit
+variable overrides any configured seed or --seed flag. Exit
 codes: 0 success, 2 config/data error or numerical failure (a diverging ODE,
 non-finite training, a statistic outside its validity range), 3 evaluation
 mismatch.
 
-Every command solves its ODE rows in batched calls of at most _SOLVE_ROWS
-rows, so a command's cost scales with rows x steps and its solver memory
-does not grow with the number of pairs it writes.
+Every command solves its ODE rows through _solve_rows, in batched calls of
+at most _SOLVE_ROWS rows, so a command's cost scales with rows x steps and
+its solver memory does not grow with the number of pairs it writes. Each
+model that renders masks is loaded and checked by _load_renderer.
 """
 from __future__ import annotations
 
@@ -77,6 +78,7 @@ def parse_config(path) -> dict[str, str]:
 
 
 def effective_seed(cfg_seed: int) -> int:
+    """FMLAB_SEED when it is set, else cfg_seed."""
     env = os.environ.get("FMLAB_SEED")
     return int(env) if env else cfg_seed
 
@@ -84,15 +86,13 @@ def effective_seed(cfg_seed: int) -> int:
 # -- checkpoint metadata sidecar ------------------------------------------------
 
 
+# The VelocityModel arguments a .meta sidecar records, in file order; mask
+# models add mask_height and mask_width.
+_ARCH_KEYS = ("mode", "data_dim", "width", "hidden_layers", "time_embed_dim", "num_classes")
+
+
 def _write_meta(path, model: VelocityModel, extra: dict[str, str]) -> None:
-    meta = {
-        "mode": model.mode,
-        "data_dim": str(model.data_dim),
-        "width": str(model.width),
-        "hidden_layers": str(model.hidden_layers),
-        "time_embed_dim": str(model.time_embed_dim),
-        "num_classes": str(model.num_classes),
-    }
+    meta = {key: str(getattr(model, key)) for key in _ARCH_KEYS}
     if model.mask_shape is not None:
         meta["mask_height"] = str(model.mask_shape[0])
         meta["mask_width"] = str(model.mask_shape[1])
@@ -111,16 +111,8 @@ def load_model(checkpoint_path) -> tuple[VelocityModel, dict[str, str]]:
     mask_shape = None
     if "mask_height" in meta:
         mask_shape = (int(meta["mask_height"]), int(meta["mask_width"]))
-    model = VelocityModel(
-        data_dim=int(meta["data_dim"]),
-        mode=meta["mode"],
-        num_classes=int(meta["num_classes"]) or 10,
-        mask_shape=mask_shape,
-        width=int(meta["width"]),
-        hidden_layers=int(meta["hidden_layers"]),
-        time_embed_dim=int(meta["time_embed_dim"]),
-        seed=0,
-    )
+    sizes = {key: int(meta[key]) for key in _ARCH_KEYS[1:]}
+    model = VelocityModel(mode=meta["mode"], mask_shape=mask_shape, **sizes)
     _, ema = load_checkpoint(checkpoint_path)
     model.set_params(ema)
     return model, meta
@@ -156,18 +148,26 @@ def _record_seeds(base_seed: int, count: int) -> np.ndarray:
     return np.random.SeedSequence(base_seed).generate_state(count, dtype=np.uint64)
 
 
-def _row_chunks(n: int) -> list[slice]:
-    """Consecutive row slices of at most _SOLVE_ROWS rows covering range(n)."""
-    return [slice(a, min(a + _SOLVE_ROWS, n)) for a in range(0, n, _SOLVE_ROWS)]
-
-
-def _render_images(image_model: VelocityModel, mask_stack: np.ndarray, x0, icfg) -> np.ndarray:
-    """Render images conditioned on masks from their base noise rows x0, in
-    batched solves of at most _SOLVE_ROWS rows."""
+def _solve_rows(solve, model: VelocityModel, x0: np.ndarray, cond, icfg) -> np.ndarray:
+    """solve(model, x0, cond, icfg), integrate or integrate_from_background,
+    over consecutive chunks of at most _SOLVE_ROWS rows of x0 and cond. Every
+    row is a raster in [0, 1], so the result is clipped to that range, which
+    leaves a mask thresholded at 0.5 unchanged."""
     out = np.empty_like(x0)
-    for rows in _row_chunks(len(x0)):
-        out[rows] = integrate(image_model, x0[rows], mask_stack[rows], icfg)
+    for start in range(0, len(x0), _SOLVE_ROWS):
+        rows = slice(start, start + _SOLVE_ROWS)
+        out[rows] = solve(model, x0[rows], cond[rows], icfg)
     return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _load_renderer(path, mask_shape=None) -> VelocityModel:
+    """Load the model at path and require it to be mask-conditional and,
+    when mask_shape is given, to take masks of that shape."""
+    model, _ = load_model(path)
+    if model.mode != MASK_CONDITIONAL or mask_shape not in (None, model.mask_shape):
+        got = f"got {model.mode} with mask shape {model.mask_shape}"
+        raise DomainError(f"{path}: need mask_conditional for {mask_shape or 'any'} masks, {got}")
+    return model
 
 
 def _write_records(out_dir: Path, rows, strategy: str, bins, comments) -> int:
@@ -323,15 +323,9 @@ def _synthesize(
     """Sample n_total masks from mask_model with classes drawn from
     class_probs, render an image for each with args.image_model, and write the
     pairs under args.out with the manifest comment lines header."""
-    image_model, _ = load_model(args.image_model)
     side = int(mask_meta.get("resolution", int(np.sqrt(mask_model.data_dim))))
-    if image_model.mode != MASK_CONDITIONAL:
-        raise DomainError("image model must be mask_conditional")
-    if image_model.mask_shape != (side, side):
-        raise ShapeError(
-            f"image model mask_shape {image_model.mask_shape} does not match mask side {side}"
-        )
-    seeds = _record_seeds(effective_seed(args.seed), n_total)
+    image_model = _load_renderer(args.image_model, (side, side))
+    seeds = _record_seeds(args.seed, n_total)
     icfg = IntegratorConfig(method=args.method, steps=args.ode_steps, cfg_omega=args.cfg_omega)
 
     # Each record's generator draws its class, its mask noise and its image
@@ -344,9 +338,7 @@ def _synthesize(
         labels[i] = rng.choice(len(class_probs), p=class_probs)
         x0[i] = rng.standard_normal(side * side)
         image_x0[i] = rng.standard_normal(image_model.data_dim)
-    sampled = np.empty_like(x0)
-    for rows in _row_chunks(n_total):
-        sampled[rows] = integrate(mask_model, x0[rows], labels[rows], icfg)
+    sampled = _solve_rows(integrate, mask_model, x0, labels, icfg)
     mask_stack = (sampled >= 0.5).astype(np.uint8).reshape(n_total, side, side)
 
     if perturb:
@@ -357,7 +349,7 @@ def _synthesize(
                 )
                 mask_stack[i] = mask_ops.propagate(m, policy)[0].mask
 
-    images = _render_images(image_model, mask_stack.astype(np.float64), image_x0, icfg)
+    images = _solve_rows(integrate, image_model, image_x0, mask_stack.astype(np.float64), icfg)
     digits = len(str(max(n_total - 1, 1)))
     tag = ";perturbed" if perturb else ""
     rows = [
@@ -386,8 +378,7 @@ def cmd_synthesize_crossdomain(args) -> int:
     n_total = math.ceil(args.multiplier * x_target)
     mask_model, mask_meta = load_model(args.mask_model)
     bins = _bins_from(mask_meta)
-    seed = effective_seed(args.seed)
-    stats = mask_ops.estimate_target_stats(target_masks, args.fraction, bins, seed=seed)
+    stats = mask_ops.estimate_target_stats(target_masks, args.fraction, bins, seed=args.seed)
     print(
         f"target stats from {stats.n_used}/{x_target} masks: "
         f"histogram={np.array2string(stats.histogram, precision=3)} "
@@ -407,10 +398,7 @@ def cmd_synthesize_crossdomain(args) -> int:
 
 
 def cmd_inject(args) -> int:
-    model, meta = load_model(args.model)
-    if model.mode != MASK_CONDITIONAL:
-        raise DomainError("inject requires a mask_conditional model")
-    side = int(meta.get("resolution", int(np.sqrt(model.data_dim))))
+    model = _load_renderer(args.model)
     bg_files = _sorted_files(args.backgrounds, suffixes=(".pgm", ".ppm"))
     mask_files = _sorted_files(args.masks)
     notes = []
@@ -429,30 +417,26 @@ def cmd_inject(args) -> int:
     backgrounds = {p: rasters.load_image(p) for p in dict.fromkeys(b for b, _ in pairs)}
     mask_rasters = {p: rasters.load_mask(p) for p in dict.fromkeys(m for _, m in pairs)}
     icfg = IntegratorConfig(method=args.method, steps=args.ode_steps)
-    seed = effective_seed(args.seed)
 
-    dims = (side, side)
+    h, w = dims = model.mask_shape
     kept = []
     for i, (bg_path, mask_path) in enumerate(pairs):
         if backgrounds[bg_path].shape != dims or mask_rasters[mask_path].shape != dims:
-            msg = f"skipped pair ({bg_path.name}, {mask_path.name}): dims do not match {side}x{side}"
+            msg = f"skipped pair ({bg_path.name}, {mask_path.name}): dims do not match {h}x{w}"
             print(f"warning: {msg}", file=sys.stderr)
             notes.append(msg)
         else:
             kept.append(i)
 
-    kept_masks = [mask_rasters[pairs[i][1]] for i in kept]
-    images = np.empty((len(kept), model.data_dim))
-    for rows in _row_chunks(len(kept)):
-        bg_stack = np.stack([backgrounds[pairs[i][0]].reshape(-1) for i in kept[rows]])
-        images[rows] = integrate_from_background(model, bg_stack, np.stack(kept_masks[rows]), icfg)
-    np.clip(images, 0.0, 1.0, out=images)
+    bg_stack = np.array([backgrounds[pairs[i][0]] for i in kept]).reshape(len(kept), h * w)
+    mask_stack = np.array([mask_rasters[pairs[i][1]] for i in kept]).reshape(len(kept), h, w)
+    images = _solve_rows(integrate_from_background, model, bg_stack, mask_stack, icfg)
 
     digits = len(str(max(len(pairs) - 1, 1)))
     provenance = "inject;background={0.name};mask={1.name}"
     rows = [
-        (f"inject_{i:0{digits}d}", image, mask, seed, provenance.format(*pairs[i]))
-        for i, image, mask in zip(kept, images, kept_masks)
+        (f"inject_{i:0{digits}d}", image, mask, args.seed, provenance.format(*pairs[i]))
+        for i, image, mask in zip(kept, images, mask_stack)
     ]
     bins = mask_ops.uniform_bins(args.num_classes, args.max_coverage)
     n = _write_records(Path(args.out), rows, "C_background_injected", bins, notes)
@@ -495,8 +479,7 @@ def cmd_split(args) -> int:
             replace(r, image_path=rebase(r.image_path), mask_path=rebase(r.mask_path))
             for r in records
         ]
-    seed = effective_seed(args.seed)
-    order = np.random.default_rng(seed).permutation(len(records))
+    order = np.random.default_rng(args.seed).permutation(len(records))
     counts = split_counts(len(records), fractions)
     names = ("train", "val", "test")
     assigned = list(records)
@@ -506,7 +489,7 @@ def cmd_split(args) -> int:
             assigned[idx] = records[idx].with_split(name)
         cursor += count
     out_comments = comments + [
-        f"split rule: seeded shuffle (seed={seed}) then contiguous blocks; "
+        f"split rule: seeded shuffle (seed={args.seed}) then contiguous blocks; "
         "counts floor(f*N) with remainder to largest fractional part (ties to earlier split)",
         "split counts: " + "/".join(str(c) for c in counts),
     ]
@@ -516,6 +499,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if (args.features_real is None) != (args.features_syn is None):
+        raise DomainError("--features-real and --features-syn must be given together")
     pred_dir, gt_dir = Path(args.pred), Path(args.gt)
     if not pred_dir.is_dir() or not gt_dir.is_dir():
         raise DomainError("pred and gt must be directories")
@@ -545,8 +530,6 @@ def cmd_evaluate(args) -> int:
             fh.write(f"{name}\t{repr(i_val)}\t{repr(f_val)}\n")
         fh.write(f"__mean__\t{repr(miou)}\t{repr(mf1)}\n")
     report: dict[str, float] = {}
-    if (args.features_real is None) != (args.features_syn is None):
-        raise DomainError("--features-real and --features-syn must be given together")
     if args.features_real is not None:
         real = metrics.load_feature_set_tsv(args.features_real)
         syn = metrics.load_feature_set_tsv(args.features_syn)
@@ -565,8 +548,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_propagate(args) -> int:
     mask_list, files = _load_mask_dir(args.masks)
-    image_model = load_model(args.image_model)[0] if args.image_model else None
-    seed = effective_seed(args.seed)
+    image_model = _load_renderer(args.image_model, mask_list[0].shape) if args.image_model else None
     preserve = not args.allow_topology_change
 
     rows, render_seeds, skipped = [], [], []
@@ -582,12 +564,12 @@ def cmd_propagate(args) -> int:
             max_erode=args.max_erode,
             jitter_px=args.jitter,
             preserve_connectivity=preserve,
-            seed=seed + i,
+            seed=args.seed + i,
         )
-        render_seeds.extend(_record_seeds(seed + i, args.k))
+        render_seeds.extend(_record_seeds(args.seed + i, args.k))
         for j, variant in enumerate(mask_ops.propagate(m, policy)):
             provenance = f"base={src.name};variant={j};{variant.provenance}"
-            rows.append((f"prop_{i:04d}_{j}", None, variant.mask, seed + i, provenance))
+            rows.append((f"prop_{i:04d}_{j}", None, variant.mask, args.seed + i, provenance))
 
     if image_model is not None and rows:
         # Each variant renders from its own record seed.
@@ -595,7 +577,7 @@ def cmd_propagate(args) -> int:
         x0 = np.stack([np.random.default_rng(int(s)).standard_normal(dim) for s in render_seeds])
         mask_stack = np.stack([r[2] for r in rows]).astype(np.float64)
         icfg = IntegratorConfig(method=args.method, steps=args.ode_steps)
-        images = _render_images(image_model, mask_stack, x0, icfg)
+        images = _solve_rows(integrate, image_model, x0, mask_stack, icfg)
         rows = [(r[0], image, *r[2:]) for r, image in zip(rows, images)]
     bins = mask_ops.uniform_bins(args.num_classes, args.max_coverage)
     n = _write_records(Path(args.out), rows, "B_propagated", bins, skipped)
@@ -606,9 +588,7 @@ def cmd_propagate(args) -> int:
 def cmd_stats(args) -> int:
     mask_list, _ = _load_mask_dir(args.masks)
     bins = mask_ops.uniform_bins(args.num_classes, args.max_coverage)
-    stats = mask_ops.estimate_target_stats(
-        mask_list, args.fraction, bins, seed=effective_seed(args.seed)
-    )
+    stats = mask_ops.estimate_target_stats(mask_list, args.fraction, bins, seed=args.seed)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write("key\tvalue\n")
         for c, freq in enumerate(stats.histogram):
@@ -719,6 +699,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # DomainError and ShapeError are ValueErrors, so they exit 2 here too.
     try:
+        if "seed" in vars(args):
+            args.seed = effective_seed(args.seed)
         return args.fn(args)
     except (OSError, KeyError, ValueError, DivergenceError, TrainingError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)

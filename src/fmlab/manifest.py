@@ -3,7 +3,11 @@
 Paths are stored relative to the manifest file's directory, which keeps
 manifests portable and makes repeated pipeline runs byte-identical
 regardless of where they execute. Lines starting with '#' are header
-comments (split rules, skipped-pair warnings) and are preserved on read.
+comments (split rules, skipped-pair warnings) and are preserved on read,
+without their surrounding whitespace. A record's path and provenance
+fields cannot hold a tab or a line break, nor can an image path start with
+'#' (ManifestRecord rejects them), and write_manifest rejects a comment
+with a line break before it opens the file.
 """
 from __future__ import annotations
 
@@ -39,6 +43,11 @@ class ManifestRecord:
     provenance: str = ""
 
     def __post_init__(self):
+        for text in (self.image_path, self.mask_path, self.provenance):
+            if any(c in text for c in "\t\r\n"):
+                raise DomainError(f"manifest field {text!r} holds a tab or line break")
+        if self.image_path.startswith("#"):
+            raise DomainError(f"image path {self.image_path!r} would read as a comment")
         if self.strategy not in STRATEGIES:
             raise DomainError(f"unknown strategy {self.strategy!r}")
         if self.split not in SPLITS:
@@ -49,6 +58,9 @@ class ManifestRecord:
 
 
 def write_manifest(path, records: list[ManifestRecord], comments: list[str] | None = None) -> None:
+    for comment in comments or []:
+        if "\r" in comment or "\n" in comment:
+            raise DomainError(f"manifest comment {comment!r} holds a line break")
     with open(path, "w", encoding="ascii") as fh:
         for comment in comments or []:
             fh.write(f"# {comment}\n")

@@ -75,10 +75,6 @@ def _sigmoid(x):
     return out
 
 
-def _silu(x):
-    return x * _sigmoid(x)
-
-
 def _silu_grad(g, h, sig):
     """g * SiLU'(x) written into g, with SiLU'(x) = sig + h*(1 - sig) taken
     from the forward cache (sig = sigmoid(x), h = x*sig)."""
@@ -97,7 +93,8 @@ class VelocityModel:
     one-hot mask and uses the time embedding alone on the conditioning path.
     The conditioning vector z is added to every hidden pre-activation, so the
     label/time signal reaches each block rather than only the input. None
-    always denotes the null condition (null token / all-zeros mask).
+    always denotes the null condition (null token / all-zeros mask). The
+    output layer starts at zero, so a fresh model is the zero velocity field.
     """
 
     def __init__(
@@ -110,7 +107,6 @@ class VelocityModel:
         hidden_layers: int = 2,
         time_embed_dim: int = 32,
         seed: int = 0,
-        zero_init_output: bool = True,
     ):
         if mode not in (CLASS_CONDITIONAL, MASK_CONDITIONAL):
             raise DomainError(f"unknown mode {mode!r}")
@@ -165,7 +161,7 @@ class VelocityModel:
             offset += size
             if name == "emb":
                 self._p[name][...] = rng.normal(0.0, 1.0 / np.sqrt(dt), shape)
-            elif not name.startswith("b") and not (name == "w_out" and zero_init_output):
+            elif not name.startswith("b") and name != "w_out":
                 self._p[name][...] = rng.normal(0.0, np.sqrt(2.0 / shape[0]), shape)
 
     # -- parameter vector plumbing ------------------------------------------
@@ -186,28 +182,23 @@ class VelocityModel:
     # -- conditioning preparation -------------------------------------------
 
     def _prepare_cond(self, y, batch: int):
-        """Normalize y into per-sample label indices or one-hot mask rows."""
+        """Normalize y into per-sample label indices or one-hot mask rows; None
+        is the null condition, and a single label or mask serves every row."""
         if self.mode == CLASS_CONDITIONAL:
             null_idx = self.num_classes
-            if y is None:
-                labels = np.full(batch, null_idx, dtype=np.intp)
-            else:
-                labels = np.asarray(y)
-                if labels.ndim == 0:
-                    labels = np.full(batch, int(labels), dtype=np.intp)
-                labels = labels.astype(np.intp)
+            labels = np.asarray(null_idx if y is None else y)
+            if labels.ndim == 0:
+                labels = np.full(batch, labels)
+            labels = labels.astype(np.intp)
             if labels.shape != (batch,):
                 raise ShapeError(f"labels shape {labels.shape} does not match batch {batch}")
             if np.any(labels < 0) or np.any(labels > null_idx):
                 raise DomainError(f"labels must lie in [0, {null_idx}]")
             return labels
         hw = self.mask_shape[0] * self.mask_shape[1]
-        if y is None:
-            m = np.zeros((batch,) + self.mask_shape, dtype=np.float64)
-        else:
-            m = np.asarray(y, dtype=np.float64)
-            if m.ndim == 2:
-                m = np.broadcast_to(m, (batch,) + m.shape)
+        m = np.zeros((batch,) + self.mask_shape) if y is None else np.asarray(y, dtype=np.float64)
+        if m.ndim == 2:
+            m = np.broadcast_to(m, (batch,) + m.shape)
         if m.shape != (batch,) + self.mask_shape:
             raise ShapeError(f"mask shape {m.shape} does not match {(batch,) + self.mask_shape}")
         flat = m.reshape(batch, hw)
@@ -215,17 +206,28 @@ class VelocityModel:
 
     # -- forward / backward --------------------------------------------------
 
-    def _forward_batch(self, x: np.ndarray, t: np.ndarray, cond):
+    def _batch(self, x, t, y):
+        """Normalize forward/backward inputs to a batch: x (D,) or (B, D) as
+        (B, D), t a scalar or (B,) as (B,), y prepared for B rows; the last
+        item says whether x was a single sample."""
+        x = np.asarray(x, dtype=np.float64)
+        single = x.ndim == 1
+        xb = x[None, :] if single else x
+        if xb.ndim != 2 or xb.shape[1] != self.data_dim:
+            raise ShapeError(f"x must have trailing dim {self.data_dim}, got {x.shape}")
+        tb = np.asarray(t, dtype=np.float64)
+        if tb.ndim == 0:
+            tb = np.full(xb.shape[0], float(tb))
+        return xb, tb, self._prepare_cond(y, xb.shape[0]), single
+
+    def _conditioning(self, t: np.ndarray, labels):
+        """z = MLP(psi(t) + E(labels)), E only for class models (labels None
+        otherwise). Returns z, e and the z-MLP's hidden activation and
+        sigmoid, which backward needs."""
         p = self._p
         e = time_embedding(t, self.time_embed_dim)
-        if self.mode == CLASS_CONDITIONAL:
-            labels = cond
+        if labels is not None:
             e += p["emb"][labels]
-            x_in = x
-        else:
-            labels = None
-            x_in = np.concatenate([x, cond], axis=1)
-
         # Each SiLU overwrites its pre-activation; backward needs only the
         # activation h and the sigmoid.
         zh = e @ p["wz1"]
@@ -234,7 +236,13 @@ class VelocityModel:
         zh *= zh_sig
         z = zh @ p["wz2"]
         z += p["bz2"]
+        return z, e, zh, zh_sig
 
+    def _forward_batch(self, x: np.ndarray, t: np.ndarray, cond):
+        labels = cond if self.mode == CLASS_CONDITIONAL else None
+        x_in = x if labels is not None else np.concatenate([x, cond], axis=1)
+        z, e, zh, zh_sig = self._conditioning(t, labels)
+        p = self._p
         hs, sigs = [], []
         h = x_in
         for w, b in self._hidden:
@@ -286,45 +294,31 @@ class VelocityModel:
         """Velocity prediction for a single sample or a batch.
 
         x is (D,) or (B, D); t a scalar or (B,); y a label, mask, per-sample
-        array thereof, or None for the null condition.
+        array thereof, or None for the null condition. A wrong x or y shape
+        raises ShapeError.
         """
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        xb = x[None, :] if single else x
-        if xb.ndim != 2 or xb.shape[1] != self.data_dim:
-            raise ShapeError(f"x must have trailing dim {self.data_dim}, got {x.shape}")
-        tb = np.asarray(t, dtype=np.float64)
-        if tb.ndim == 0:
-            tb = np.full(xb.shape[0], float(tb))
-        cond = self._prepare_cond(y, xb.shape[0])
+        xb, tb, cond, single = self._batch(x, t, y)
         out, _ = self._forward_batch(xb, tb, cond)
         return out[0] if single else out
 
     def backward(self, x, t, y, grad_out) -> np.ndarray:
-        """Exact gradient of sum(forward(x,t,y) * grad_out) w.r.t. parameters."""
-        x = np.asarray(x, dtype=np.float64)
+        """Exact gradient of sum(forward(x,t,y) * grad_out) w.r.t. parameters;
+        inputs as for forward, grad_out shaped like its output."""
+        xb, tb, cond, single = self._batch(x, t, y)
         grad_out = np.asarray(grad_out, dtype=np.float64)
-        single = x.ndim == 1
-        xb = x[None, :] if single else x
         gb = grad_out[None, :] if single else grad_out
-        if gb.shape != (xb.shape[0], self.data_dim):
+        if gb.shape != xb.shape:
             raise ShapeError(f"grad_out shape {grad_out.shape} does not match output")
-        tb = np.asarray(t, dtype=np.float64)
-        if tb.ndim == 0:
-            tb = np.full(xb.shape[0], float(tb))
-        cond = self._prepare_cond(y, xb.shape[0])
         _, cache = self._forward_batch(xb, tb, cond)
         return self._backward_batch(cache, gb).copy()
 
     def conditioning_vector(self, t: float, y) -> np.ndarray:
-        """z = MLP(psi(t) + E(y)); class-conditional models only."""
+        """z = MLP(psi(t) + E(y)), the forward pass's z; class-conditional
+        models only."""
         if self.mode != CLASS_CONDITIONAL:
             raise DomainError("conditioning_vector requires a class_conditional model")
-        labels = self._prepare_cond(y, 1)
-        e = time_embedding(np.asarray([t], dtype=np.float64), self.time_embed_dim)
-        e = e + self._p["emb"][labels]
-        zh = _silu(e @ self._p["wz1"] + self._p["bz1"])
-        return (zh @ self._p["wz2"] + self._p["bz2"])[0]
+        z = self._conditioning(np.asarray([t], dtype=np.float64), self._prepare_cond(y, 1))[0]
+        return z[0]
 
 
 # -- optimizer and EMA --------------------------------------------------------
@@ -332,6 +326,8 @@ class VelocityModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training settings, and the only copy of the Adam/EMA hyperparameters."""
+
     steps: int = 1000
     batch_size: int = 64
     lr: float = 1e-3
@@ -345,49 +341,37 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.p_drop <= 1.0:
             raise DomainError(f"p_drop must lie in [0,1], got {self.p_drop}")
+        if not 0.0 <= self.ema_decay < 1.0:
+            raise DomainError(f"ema_decay must lie in [0,1), got {self.ema_decay}")
 
 
 @dataclass
 class TrainState:
-    """Optimizer state. adam_step and ema_update mutate it in place; the
-    training loops return it with params copied out of the model."""
+    """Optimizer state; its hyperparameters are those of config. adam_step
+    and ema_update mutate it in place; the training loops return it with
+    params copied out of the model."""
 
     params: np.ndarray
     ema_params: np.ndarray
     step: int
     adam_m: np.ndarray
     adam_v: np.ndarray
-    lr: float
-    beta1: float
-    beta2: float
-    eps_adam: float
-    ema_decay: float
+    config: TrainConfig
 
     def __post_init__(self):
         if self.ema_params.shape != self.params.shape:
             raise ShapeError("ema_params must match params length")
-        if not 0.0 <= self.ema_decay < 1.0:
-            raise DomainError(f"ema_decay must lie in [0,1), got {self.ema_decay}")
 
 
 def init_train_state(model: VelocityModel, config: TrainConfig) -> TrainState:
     params = model.get_params()
-    return TrainState(
-        params=params,
-        ema_params=params.copy(),
-        step=0,
-        adam_m=np.zeros_like(params),
-        adam_v=np.zeros_like(params),
-        lr=config.lr,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps_adam=config.eps_adam,
-        ema_decay=config.ema_decay,
-    )
+    zeros = np.zeros_like(params)
+    return TrainState(params, params.copy(), 0, zeros, zeros.copy(), config)
 
 
 def adam_step(state: TrainState, grads: np.ndarray) -> TrainState:
-    """One bias-corrected Adam update of state, in place; returns state.
+    """One bias-corrected Adam update of state, in place, with the
+    hyperparameters of state.config; returns state.
 
     params -= lr * m_hat / (sqrt(v_hat) + eps) with m_hat = m/c1 and
     v_hat = v/c2 is evaluated as params -= (lr*sqrt(c2)/c1) * m /
@@ -399,7 +383,8 @@ def adam_step(state: TrainState, grads: np.ndarray) -> TrainState:
     step = state.step + 1
     if not np.isfinite(grads).all():
         raise TrainingError(f"non-finite gradients at step {step}", step=step)
-    b1, b2 = state.beta1, state.beta2
+    cfg = state.config
+    b1, b2 = cfg.beta1, cfg.beta2
     root_c2 = np.sqrt(1.0 - b2**step)
     m, v = state.adam_m, state.adam_v
     scratch = np.multiply(grads, 1.0 - b1)
@@ -410,20 +395,20 @@ def adam_step(state: TrainState, grads: np.ndarray) -> TrainState:
     v *= b2
     v += scratch
     np.sqrt(v, out=scratch)
-    scratch += state.eps_adam * root_c2
+    scratch += cfg.eps_adam * root_c2
     np.divide(m, scratch, out=scratch)
-    scratch *= state.lr * root_c2 / (1.0 - b1**step)
+    scratch *= cfg.lr * root_c2 / (1.0 - b1**step)
     state.params -= scratch
     state.step = step
     return state
 
 
 def ema_update(state: TrainState) -> TrainState:
-    """ema <- d*ema + (1-d)*params, in place as params + d*(ema - params);
-    returns state."""
+    """ema <- d*ema + (1-d)*params with d = state.config.ema_decay, in place
+    as params + d*(ema - params); returns state."""
     ema = state.ema_params
     ema -= state.params
-    ema *= state.ema_decay
+    ema *= state.config.ema_decay
     ema += state.params
     return state
 

@@ -4,7 +4,7 @@ Masks are stored as 0/255 PGM and thresholded at 128 on load; images travel
 as float rasters in [0,1], quantized to 8 bits on save. Grayscale images use
 PGM, 3-channel images PPM. Files are written with maxval 255; a file with a
 smaller maxval is rescaled to the 0-255 scale on load, so a mask thresholds
-at the midpoint of its maxval.
+at the midpoint of its maxval. Bytes after the pixel data are an error.
 """
 from __future__ import annotations
 
@@ -50,13 +50,17 @@ def _read_header(fh, magic: bytes) -> tuple[int, int, int]:
 
 def _load_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
     """Read a binary P5/P6 raster as (H, W, channels) uint8 on the 0-255
-    scale: a pixel v under maxval m reads as round(v * 255 / m)."""
+    scale: a pixel v under maxval m reads as round(v * 255 / m). Missing or
+    trailing pixel bytes raise DomainError."""
     with open(path, "rb") as fh:
         width, height, maxval = _read_header(fh, magic)
         size = width * height * channels
         data = fh.read(size)
+        trailing = fh.read(1)
     if len(data) != size:
         raise DomainError(f"truncated pixel data in {path}")
+    if trailing:
+        raise DomainError(f"trailing bytes after pixel data in {path}")
     raster = np.frombuffer(data, dtype=np.uint8).reshape(height, width, channels)
     if maxval == 255:
         return raster.copy()

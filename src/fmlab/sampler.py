@@ -34,10 +34,6 @@ class IntegratorConfig:
             raise DomainError(f"steps must be >= 1, got {self.steps}")
 
 
-def _velocity_fn(model):
-    return getattr(model, "forward", model)
-
-
 def _guard(x: np.ndarray, step: int) -> None:
     if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > _DIVERGENCE_LIMIT:
         raise DivergenceError(
@@ -57,7 +53,7 @@ def integrate(model, x0, y, config: IntegratorConfig) -> np.ndarray:
     x = np.asarray(x0, dtype=np.float64).copy()
     if not np.all(np.isfinite(x)):
         raise DomainError("initial state must be finite")
-    v = _velocity_fn(model)
+    v = getattr(model, "forward", model)
     omega = config.cfg_omega
 
     def velocity(state, t):
@@ -89,18 +85,7 @@ def integrate_from_background(model, background, mask, config: IntegratorConfig)
     """Injection sampling: start the ODE at a background image, not noise.
 
     The conditioning is the binary mask (encoded per-pixel one-hot by the
-    model); numerics are identical to integrate.
+    model); numerics are identical to integrate. A VelocityModel's forward
+    raises ShapeError for a background or mask of the wrong shape.
     """
-    background = np.asarray(background, dtype=np.float64)
-    data_dim = getattr(model, "data_dim", None)
-    if data_dim is not None and background.shape[-1] != data_dim:
-        raise ShapeError(
-            f"background dim {background.shape[-1]} does not match model data_dim {data_dim}"
-        )
-    mask_shape = getattr(model, "mask_shape", None)
-    if mask_shape is not None and mask is not None:
-        m = np.asarray(mask)
-        spatial = m.shape[-2:]
-        if tuple(spatial) != tuple(mask_shape):
-            raise ShapeError(f"mask raster {spatial} does not match model mask_shape {mask_shape}")
     return integrate(model, background, mask, config)

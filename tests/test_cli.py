@@ -407,6 +407,61 @@ def test_inject_skips_mismatched_dims(workspace, tmp_path, capsys):
     assert assert_files_match_manifest(out) == []
 
 
+def test_inject_names_the_model_mask_size_when_skipping(workspace, tmp_path):
+    bad_masks = tmp_path / "bad_masks"
+    bad_masks.mkdir()
+    save_mask(bad_masks / "tiny.pgm", np.ones((4, 4), dtype=np.uint8))
+    out = tmp_path / "inj_skip_text"
+    argv = ["inject", "--model", str(workspace / "inject.fmck"), "--masks", str(bad_masks)]
+    argv += ["--backgrounds", str(workspace / "backgrounds"), "--out", str(out)]
+    assert main(argv) == 0
+    _, comments = read_manifest(out / "manifest.tsv")
+    assert "skipped pair (b0.pgm, tiny.pgm): dims do not match 8x8" in comments
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "synthesize-indomain --mask-model {ws}/mask.fmck --image-model {ws}/mask.fmck "
+        "--real-count 2",
+        "inject --model {ws}/mask.fmck --backgrounds {ws}/backgrounds --masks {ws}/masks",
+    ],
+)
+def test_synthesize_and_inject_reject_a_class_conditional_renderer(
+    workspace, tmp_path, capsys, command
+):
+    out = tmp_path / "out"
+    argv = command.format(ws=workspace).split() + ["--ode-steps", "2", "--out", str(out)]
+    assert main(argv) == 2
+    assert "need mask_conditional for " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, output",
+    [
+        ("propagate --masks {ws}/masks --image-model {ws}/render.fmck --ode-steps 2", "out"),
+        ("inject --model {ws}/inject.fmck --backgrounds {ws}/backgrounds --masks {ws}/masks "
+         "--ode-steps 2", "out"),
+        ("stats --masks {ws}/masks --fraction 0.5", "out.tsv"),
+    ],
+)
+def test_fmlab_seed_env_overrides_the_seed_flag(workspace, tmp_path, monkeypatch, command, output):
+    argv = command.format(ws=workspace).split()
+
+    def run(name, seed):
+        (tmp_path / name).mkdir()
+        assert main(argv + ["--seed", seed, "--out", str(tmp_path / name / output)]) == 0
+        files = sorted(p for p in (tmp_path / name).rglob("*") if p.is_file())
+        return {str(p.relative_to(tmp_path / name)): p.read_bytes() for p in files}
+
+    expected = run("flag", "9")
+    monkeypatch.setenv("FMLAB_SEED", "9")
+    assert run("env", "3") == expected
+    monkeypatch.delenv("FMLAB_SEED")
+    assert run("other", "3") != expected
+
+
 def test_inject_zip_reports_unpaired_files(workspace, tmp_path, capsys):
     out = tmp_path / "inj_zip"
     code = main(
@@ -664,6 +719,18 @@ def test_evaluate_feature_flags_must_pair(tmp_path, capsys):
     assert "together" in capsys.readouterr().err
 
 
+def test_evaluate_unpaired_feature_flag_writes_no_output(tmp_path, capsys):
+    masks = tmp_path / "masks"
+    masks.mkdir()
+    for i in range(4):
+        save_mask(masks / f"m{i}.pgm", np.eye(4, dtype=np.uint8))
+    out = tmp_path / "eval.tsv"
+    argv = ["evaluate", "--pred", str(masks), "--gt", str(masks), "--out", str(out)]
+    assert main(argv + ["--features-real", str(tmp_path / "x.tsv")]) == 2
+    assert "together" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_missing_counterpart_exits_3(tmp_path, capsys):
     pred, gt = tmp_path / "pred", tmp_path / "gt"
     pred.mkdir(), gt.mkdir()
@@ -784,11 +851,29 @@ def test_propagate_renders_each_variant_with_its_own_seed(workspace, tmp_path):
             assert rec.image_path == f"images/prop_{i:04d}_{j}.pgm"
             assert np.array_equal(load_mask(out / rec.mask_path), variant.mask)
             x0 = np.random.default_rng(int(seeds[j])).standard_normal((1, 64))
-            expected = cli._render_images(
-                image_model, variant.mask[None].astype(np.float64), x0, icfg
+            expected = cli._solve_rows(
+                cli.integrate, image_model, x0, variant.mask[None].astype(np.float64), icfg
             )
             image = load_image(out / rec.image_path)
             assert np.max(np.abs(image - expected[0].reshape(8, 8))) <= 1.0 / 255
+
+
+@pytest.mark.parametrize("masks_side, model", [(8, "mask.fmck"), (4, "render.fmck")])
+def test_propagate_rejects_a_renderer_for_other_masks(
+    workspace, tmp_path, capsys, masks_side, model
+):
+    # A class-conditional checkpoint, or a renderer of 8x8 masks given 4x4 masks.
+    src = tmp_path / "src"
+    src.mkdir()
+    mask = np.zeros((masks_side, masks_side), dtype=np.uint8)
+    mask[1, :] = 1
+    save_mask(src / "a.pgm", mask)
+    out = tmp_path / "prop_bad_renderer"
+    argv = ["propagate", "--masks", str(src), "--image-model", str(workspace / model)]
+    assert main(argv + ["--ode-steps", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"need mask_conditional for ({masks_side}, {masks_side}) masks" in err
+    assert not out.exists()
 
 
 def test_stats_cli(workspace, tmp_path):

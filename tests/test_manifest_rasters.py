@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmlab.errors import DomainError, ShapeError
-from fmlab.manifest import ManifestRecord, read_manifest, validate_manifest, write_manifest
+from fmlab.manifest import (
+    SPLITS,
+    STRATEGIES,
+    ManifestRecord,
+    read_manifest,
+    validate_manifest,
+    write_manifest,
+)
 from fmlab.rasters import (
     load_image,
     load_mask,
@@ -148,6 +155,17 @@ def test_pixel_above_maxval_is_rejected(tmp_path):
         load_pgm(path)
 
 
+@pytest.mark.parametrize("suffix, raster", [("pgm", [[0, 255]]), ("ppm", [[[0, 128, 255]]])])
+def test_trailing_bytes_after_pixels_are_rejected(tmp_path, suffix, raster):
+    path = tmp_path / f"img.{suffix}"
+    save, load = (save_pgm, load_pgm) if suffix == "pgm" else (save_ppm, load_ppm)
+    save(path, np.array(raster, dtype=np.uint8))
+    assert np.array_equal(load(path), raster)
+    path.write_bytes(path.read_bytes() + b"garbage")
+    with pytest.raises(DomainError, match="trailing bytes"):
+        load(path)
+
+
 # -- manifest -----------------------------------------------------------------
 
 
@@ -200,3 +218,52 @@ def test_record_field_validation():
         ManifestRecord("i", "m", 0, "real", split="holdout")
     rec = ManifestRecord("i", "m", 0, "real")
     assert rec.with_split("test").split == "test"
+
+
+@pytest.mark.parametrize("field", ["image_path", "mask_path", "provenance"])
+@pytest.mark.parametrize("char", ["\t", "\r", "\n"])
+def test_record_rejects_tab_and_line_breaks(field, char):
+    fields = dict(image_path="i.pgm", mask_path="m.pgm", provenance="base=a.pgm")
+    fields[field] = f"a{char}b.pgm"
+    with pytest.raises(DomainError, match="tab or line break"):
+        ManifestRecord(coverage_class=0, strategy="real", **fields)
+
+
+def test_record_rejects_image_path_read_as_comment():
+    with pytest.raises(DomainError, match="comment"):
+        ManifestRecord("#a.pgm", "m.pgm", 0, "real")
+    assert ManifestRecord("", "#m.pgm", 0, "real").mask_path == "#m.pgm"
+
+
+@pytest.mark.parametrize("comment", ["skipped a\nb.pgm", "skipped a\rb.pgm"])
+def test_write_manifest_rejects_line_break_in_comment(tmp_path, comment):
+    path = tmp_path / "manifest.tsv"
+    with pytest.raises(DomainError, match="line break"):
+        write_manifest(path, _records(), comments=[comment])
+    assert not path.exists()
+
+
+# Text a manifest carries: ASCII without tab or line breaks in record fields;
+# comments may hold tabs but no line break and lose surrounding whitespace.
+_FIELD_TEXT = st.text(st.characters(max_codepoint=127, blacklist_characters="\t\r\n"))
+_COMMENT_TEXT = st.text(st.characters(max_codepoint=127, blacklist_characters="\r\n")).map(
+    str.strip
+)
+_RECORDS = st.builds(
+    ManifestRecord,
+    image_path=_FIELD_TEXT.filter(lambda s: not s.startswith("#")),
+    mask_path=_FIELD_TEXT,
+    coverage_class=st.integers(-(2**63), 2**63),
+    strategy=st.sampled_from(STRATEGIES),
+    split=st.sampled_from(SPLITS),
+    seed=st.integers(0, 2**64),
+    provenance=_FIELD_TEXT,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_RECORDS, max_size=5), st.lists(_COMMENT_TEXT, max_size=3))
+def test_manifest_round_trips_what_it_can_carry(tmp_path_factory, records, comments):
+    path = tmp_path_factory.getbasetemp() / "round_trip.tsv"
+    write_manifest(path, records, comments=comments)
+    assert read_manifest(path) == (records, comments)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,7 +92,24 @@ def test_conditioning_vector_label_range_and_mode():
         mask_model.conditioning_vector(0.3, None)
 
 
+def test_conditioning_vector_is_the_z_mlp_of_time_and_label_embedding():
+    model = VelocityModel(data_dim=2, num_classes=3, width=16, time_embed_dim=8, seed=1)
+    p = model._p
+    pre = time_embedding(np.array([0.3]), 8) + p["emb"][[2]]
+    pre = pre @ p["wz1"] + p["bz1"]
+    expected = (pre / (1.0 + np.exp(-pre))) @ p["wz2"] + p["bz2"]
+    assert np.allclose(model.conditioning_vector(0.3, 2), expected[0], rtol=0, atol=1e-12)
+
+
 # -- forward -------------------------------------------------------------------
+
+
+def random_output(model: VelocityModel, seed: int = 0) -> VelocityModel:
+    """Give the zero-initialized output layer He-normal weights through its
+    parameter view, so the velocity depends on every parameter."""
+    w_out = model._p["w_out"]
+    w_out[...] = np.random.default_rng(seed).normal(0.0, np.sqrt(2.0 / w_out.shape[0]), w_out.shape)
+    return model
 
 
 def test_zero_initialized_output_layer_gives_zero_velocity():
@@ -101,14 +120,14 @@ def test_zero_initialized_output_layer_gives_zero_velocity():
 
 
 def test_forward_finite_on_wide_inputs():
-    model = VelocityModel(data_dim=6, num_classes=2, width=32, seed=3, zero_init_output=False)
+    model = random_output(VelocityModel(data_dim=6, num_classes=2, width=32, seed=3))
     x = np.random.default_rng(1).uniform(-10, 10, (8, 6))
     out = model.forward(x, 0.9, None)
     assert np.all(np.isfinite(out))
 
 
 def test_forward_sensitive_to_single_weight():
-    model = VelocityModel(data_dim=3, num_classes=2, width=8, seed=5, zero_init_output=False)
+    model = random_output(VelocityModel(data_dim=3, num_classes=2, width=8, seed=5))
     x = np.random.default_rng(2).standard_normal(3)
     before = model.forward(x, 0.5, 0).copy()
     theta = model.get_params()
@@ -127,9 +146,8 @@ def test_forward_shape_checks():
 
 
 def test_mask_mode_null_equals_empty_mask():
-    model = VelocityModel(
-        data_dim=4, mode=MASK_CONDITIONAL, mask_shape=(2, 2), width=8, seed=2,
-        zero_init_output=False,
+    model = random_output(
+        VelocityModel(data_dim=4, mode=MASK_CONDITIONAL, mask_shape=(2, 2), width=8, seed=2)
     )
     x = np.random.default_rng(3).standard_normal(4)
     a = model.forward(x, 0.2, None)
@@ -149,7 +167,7 @@ def test_named_weights_are_views_of_the_flat_buffer():
 
 
 def test_set_params_reaches_forward_and_get_params_copies():
-    model = VelocityModel(data_dim=3, num_classes=2, width=8, seed=5, zero_init_output=False)
+    model = random_output(VelocityModel(data_dim=3, num_classes=2, width=8, seed=5))
     x = np.random.default_rng(4).standard_normal(3)
     theta = model.get_params()
     assert not np.shares_memory(theta, model._flat)
@@ -162,7 +180,7 @@ def test_set_params_reaches_forward_and_get_params_copies():
 
 
 def test_backward_result_survives_a_later_backward():
-    model = VelocityModel(data_dim=3, num_classes=2, width=8, seed=5, zero_init_output=False)
+    model = random_output(VelocityModel(data_dim=3, num_classes=2, width=8, seed=5))
     first = model.backward(np.ones(3), 0.5, 1, np.ones(3))
     kept = first.copy()
     model.backward(-np.ones(3), 0.1, 0, np.full(3, 2.0))
@@ -173,7 +191,7 @@ def test_backward_result_survives_a_later_backward():
 
 
 def test_backward_zero_grad_out():
-    model = VelocityModel(data_dim=3, num_classes=2, width=8, seed=5, zero_init_output=False)
+    model = random_output(VelocityModel(data_dim=3, num_classes=2, width=8, seed=5))
     g = model.backward(np.ones(3), 0.5, 1, np.zeros(3))
     assert np.array_equal(g, np.zeros(model.n_params))
 
@@ -186,9 +204,8 @@ def test_backward_matches_finite_differences(mode):
         if mode == CLASS_CONDITIONAL
         else dict(mask_shape=(3, 3), data_dim=9)
     )
-    model = VelocityModel(
-        mode=mode, width=8, hidden_layers=3, time_embed_dim=4, seed=5,
-        zero_init_output=False, **kwargs,
+    model = random_output(
+        VelocityModel(mode=mode, width=8, hidden_layers=3, time_embed_dim=4, seed=5, **kwargs)
     )
     rng = np.random.default_rng(3)
     batch = 4
@@ -222,7 +239,7 @@ def test_backward_matches_finite_differences(mode):
 
 def test_gradient_of_loss_zero_at_exact_prediction():
     # d/dtheta mean((pred - target)^2) at pred == target has grad_out == 0.
-    model = VelocityModel(data_dim=3, num_classes=2, width=8, seed=7, zero_init_output=False)
+    model = random_output(VelocityModel(data_dim=3, num_classes=2, width=8, seed=7))
     x = np.ones(3)
     pred = model.forward(x, 0.5, 0)
     grad_out = 2.0 * (pred - pred) / pred.size
@@ -246,11 +263,7 @@ def _scalar_state(lr=0.05, ema_decay=0.9) -> TrainState:
         step=0,
         adam_m=np.zeros(1),
         adam_v=np.zeros(1),
-        lr=lr,
-        beta1=0.9,
-        beta2=0.999,
-        eps_adam=1e-8,
-        ema_decay=ema_decay,
+        config=TrainConfig(lr=lr, beta1=0.9, beta2=0.999, eps_adam=1e-8, ema_decay=ema_decay),
     )
 
 
@@ -293,11 +306,7 @@ def test_adam_step_matches_textbook_formula(seed, steps, lr, beta1, beta2):
         step=0,
         adam_m=np.zeros(n),
         adam_v=np.zeros(n),
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps_adam=1e-8,
-        ema_decay=0.5,
+        config=TrainConfig(lr=lr, beta1=beta1, beta2=beta2, eps_adam=1e-8, ema_decay=0.5),
     )
     params, m, v = state.params.copy(), np.zeros(n), np.zeros(n)
     for step in range(1, steps + 1):
@@ -338,11 +347,7 @@ def test_ema_simple_step():
         step=0,
         adam_m=np.zeros(1),
         adam_v=np.zeros(1),
-        lr=0.1,
-        beta1=0.9,
-        beta2=0.999,
-        eps_adam=1e-8,
-        ema_decay=0.9,
+        config=TrainConfig(lr=0.1, beta1=0.9, beta2=0.999, eps_adam=1e-8, ema_decay=0.9),
     )
     assert ema_update(state).ema_params[0] == pytest.approx(0.1)
 
@@ -355,11 +360,7 @@ def test_ema_geometric_decay_closed_form():
         step=0,
         adam_m=np.zeros(1),
         adam_v=np.zeros(1),
-        lr=0.1,
-        beta1=0.9,
-        beta2=0.999,
-        eps_adam=1e-8,
-        ema_decay=0.9999,
+        config=TrainConfig(lr=0.1, beta1=0.9, beta2=0.999, eps_adam=1e-8, ema_decay=0.9999),
     )
     for _ in range(10_000):
         state = ema_update(state)
@@ -369,7 +370,7 @@ def test_ema_geometric_decay_closed_form():
 
 def test_ema_stays_in_history_envelope():
     rng = np.random.default_rng(11)
-    model = VelocityModel(data_dim=2, num_classes=2, width=8, seed=1, zero_init_output=False)
+    model = random_output(VelocityModel(data_dim=2, num_classes=2, width=8, seed=1))
     config = TrainConfig(steps=40, batch_size=8, ema_decay=0.7, seed=2)
     data = toys.two_gaussians(20, seed=3)
     lows = model.get_params().copy()
@@ -389,25 +390,14 @@ def test_ema_stays_in_history_envelope():
 
 def test_ema_decay_validation():
     with pytest.raises(DomainError):
-        TrainState(
-            params=np.zeros(1),
-            ema_params=np.zeros(1),
-            step=0,
-            adam_m=np.zeros(1),
-            adam_v=np.zeros(1),
-            lr=0.1,
-            beta1=0.9,
-            beta2=0.999,
-            eps_adam=1e-8,
-            ema_decay=1.0,
-        )
+        TrainConfig(lr=0.1, beta1=0.9, beta2=0.999, eps_adam=1e-8, ema_decay=1.0)
 
 
 # -- training loops ----------------------------------------------------------------
 
 
 def test_train_fm_zero_learning_rate_keeps_params():
-    model = VelocityModel(data_dim=2, num_classes=2, width=8, seed=1, zero_init_output=False)
+    model = random_output(VelocityModel(data_dim=2, num_classes=2, width=8, seed=1))
     before = model.get_params()
     data = toys.two_gaussians(20, seed=3)
     losses = []
@@ -421,7 +411,7 @@ def test_train_fm_zero_learning_rate_keeps_params():
     assert np.array_equal(model.get_params(), before)
     # Same params and a fixed rng stream: loss depends only on the draws.
     rerun = []
-    model2 = VelocityModel(data_dim=2, num_classes=2, width=8, seed=1, zero_init_output=False)
+    model2 = random_output(VelocityModel(data_dim=2, num_classes=2, width=8, seed=1))
     train_fm(
         model2,
         data,
@@ -633,3 +623,24 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
     padded.write_bytes(path.read_bytes() + b"garbage")
     with pytest.raises(DomainError, match="trailing bytes"):
         load_checkpoint(padded)
+
+
+# float64 bit patterns: any pattern at all, plus the floats hypothesis favours
+# (NaN, both infinities, subnormals, -0.0).
+_FLOAT64_BITS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.floats().map(lambda f: struct.unpack("<Q", struct.pack("<d", f))[0]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_FLOAT64_BITS, max_size=64))
+def test_checkpoint_round_trips_any_float64_bit_exactly(tmp_path_factory, bits):
+    n = len(bits) // 2
+    values = np.array(bits[: 2 * n], dtype=np.uint64).view(np.float64)
+    params, ema = values[:n], values[n:]
+    path = tmp_path_factory.getbasetemp() / "bits.fmck"
+    save_checkpoint(path, params, ema)
+    loaded_params, loaded_ema = load_checkpoint(path)
+    assert loaded_params.tobytes() == params.tobytes()
+    assert loaded_ema.tobytes() == ema.tobytes()
