@@ -27,7 +27,7 @@ import numpy as np
 from . import masks as mask_ops
 from . import metrics, rasters, toys
 from .errors import DivergenceError, DomainError, NumericError, ShapeError, TrainingError
-from .manifest import ManifestRecord, read_manifest, write_manifest
+from .manifest import ManifestRecord, check_comments, read_manifest, write_manifest
 from .neural import (
     CLASS_CONDITIONAL,
     MASK_CONDITIONAL,
@@ -173,26 +173,27 @@ def _load_renderer(path, mask_shape=None) -> VelocityModel:
 def _write_records(out_dir: Path, rows, strategy: str, bins, comments) -> int:
     """Write each row (stem, image or None, mask, seed, provenance) as
     masks/<stem>.pgm, plus images/<stem>.pgm when it has an image, and list
-    them all in out_dir/manifest.tsv; returns the number of records."""
-    (out_dir / "masks").mkdir(parents=True, exist_ok=True)
-    records = []
-    for stem, image, mask, seed, provenance in rows:
-        image_rel, mask_rel = "", f"masks/{stem}.pgm"
-        if image is not None:
-            image_rel = f"images/{stem}.pgm"
-            (out_dir / "images").mkdir(exist_ok=True)
-            rasters.save_image(out_dir / image_rel, image.reshape(mask.shape))
-        rasters.save_mask(out_dir / mask_rel, mask)
-        records.append(
-            ManifestRecord(
-                image_path=image_rel,
-                mask_path=mask_rel,
-                coverage_class=mask_ops.assign_class(mask_ops.coverage(mask), bins),
-                strategy=strategy,
-                seed=int(seed),
-                provenance=provenance,
-            )
+    them all in out_dir/manifest.tsv; returns the number of records. Every
+    record and comment is checked before the first file is written, and the
+    manifest is written last, so a rejected one leaves no output."""
+    records = [
+        ManifestRecord(
+            image_path="" if image is None else f"images/{stem}.pgm",
+            mask_path=f"masks/{stem}.pgm",
+            coverage_class=mask_ops.assign_class(mask_ops.coverage(mask), bins),
+            strategy=strategy,
+            seed=int(seed),
+            provenance=provenance,
         )
+        for stem, image, mask, seed, provenance in rows
+    ]
+    check_comments(comments)
+    (out_dir / "masks").mkdir(parents=True, exist_ok=True)
+    for rec, (_, image, mask, _, _) in zip(records, rows):
+        if image is not None:
+            (out_dir / "images").mkdir(exist_ok=True)
+            rasters.save_image(out_dir / rec.image_path, image.reshape(mask.shape))
+        rasters.save_mask(out_dir / rec.mask_path, mask)
     write_manifest(out_dir / "manifest.tsv", records, comments=comments or None)
     return len(records)
 

@@ -4,10 +4,11 @@ Paths are stored relative to the manifest file's directory, which keeps
 manifests portable and makes repeated pipeline runs byte-identical
 regardless of where they execute. Lines starting with '#' are header
 comments (split rules, skipped-pair warnings) and are preserved on read,
-without their surrounding whitespace. A record's path and provenance
-fields cannot hold a tab or a line break, nor can an image path start with
-'#' (ManifestRecord rejects them), and write_manifest rejects a comment
-with a line break before it opens the file.
+without their surrounding whitespace. Manifests are ASCII. A record's path
+and provenance fields cannot hold a tab, a line break or non-ASCII text,
+nor can an image path start with '#' (ManifestRecord rejects them), and
+check_comments rejects a comment with a line break or non-ASCII text;
+write_manifest calls it before it opens the file.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ __all__ = [
     "STRATEGIES",
     "SPLITS",
     "ManifestRecord",
+    "check_comments",
     "write_manifest",
     "read_manifest",
     "validate_manifest",
@@ -46,6 +48,8 @@ class ManifestRecord:
         for text in (self.image_path, self.mask_path, self.provenance):
             if any(c in text for c in "\t\r\n"):
                 raise DomainError(f"manifest field {text!r} holds a tab or line break")
+            if not text.isascii():
+                raise DomainError(f"manifest field {text!r} holds non-ASCII text")
         if self.image_path.startswith("#"):
             raise DomainError(f"image path {self.image_path!r} would read as a comment")
         if self.strategy not in STRATEGIES:
@@ -57,10 +61,17 @@ class ManifestRecord:
         return replace(self, split=split)
 
 
-def write_manifest(path, records: list[ManifestRecord], comments: list[str] | None = None) -> None:
+def check_comments(comments: list[str] | None) -> None:
+    """Reject a comment the ASCII, line-based format cannot carry."""
     for comment in comments or []:
         if "\r" in comment or "\n" in comment:
             raise DomainError(f"manifest comment {comment!r} holds a line break")
+        if not comment.isascii():
+            raise DomainError(f"manifest comment {comment!r} holds non-ASCII text")
+
+
+def write_manifest(path, records: list[ManifestRecord], comments: list[str] | None = None) -> None:
+    check_comments(comments)
     with open(path, "w", encoding="ascii") as fh:
         for comment in comments or []:
             fh.write(f"# {comment}\n")

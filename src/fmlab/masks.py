@@ -267,38 +267,57 @@ def propagate(m, policy: PropagationPolicy) -> list[MaskVariant]:
     return out
 
 
+# Neighbours p2..p9 of a pixel, clockwise from north; bit k of a pixel's
+# neighbourhood code holds p(k+2).
+_NEIGHBOURS = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
+
+
+def _zhang_suen_tables() -> tuple[np.ndarray, np.ndarray]:
+    """For each of the 256 neighbourhood codes, whether Zhang-Suen removes a
+    foreground pixel in its first and in its second subiteration: 2 <= B <= 6
+    foreground neighbours, A == 1 background-to-foreground transitions around
+    p2..p9,p2, and p2*p4*p6 == p4*p6*p8 == 0 (first) or p2*p4*p8 == p2*p6*p8
+    == 0 (second)."""
+    p = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    b = p.sum(axis=1)
+    a = ((p == 0) & (np.roll(p, -1, axis=1) == 1)).sum(axis=1)
+    p2, p4, p6, p8 = p[:, 0], p[:, 2], p[:, 4], p[:, 6]
+    base = (b >= 2) & (b <= 6) & (a == 1)
+    first = base & (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0)
+    second = base & (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0)
+    return first, second
+
+
+_ZHANG_SUEN_TABLES = _zhang_suen_tables()
+
+
 def skeletonize(m) -> np.ndarray:
-    """Zhang-Suen thinning; returns a 1-px-wide skeleton mask."""
-    img = as_mask(m).astype(bool)
+    """Zhang-Suen thinning; returns a 1-px-wide skeleton mask.
 
-    def neighbors(a):
-        p = np.zeros(a.shape + (8,), dtype=bool)
-        padded = np.zeros((a.shape[0] + 2, a.shape[1] + 2), dtype=bool)
-        padded[1:-1, 1:-1] = a
-        # Clockwise from north: p2..p9.
-        offs = [(-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1)]
-        for k, (di, dj) in enumerate(offs):
-            p[..., k] = padded[1 + di : padded.shape[0] - 1 + di, 1 + dj : padded.shape[1] - 1 + dj]
-        return p
-
+    Each subiteration packs every pixel's eight neighbours into a uint8 code
+    and removes, all at once, the foreground pixels whose code its table
+    selects; thinning stops when a full iteration removes nothing."""
+    img = as_mask(m)
+    h, w = img.shape
+    padded = np.zeros((h + 2, w + 2), dtype=np.uint8)
+    inner = padded[1:-1, 1:-1]
+    inner[...] = img
+    code = np.empty((h, w), dtype=np.uint8)
+    shifted = np.empty_like(code)
     changed = True
     while changed:
         changed = False
-        for phase in (0, 1):
-            p = neighbors(img)
-            b = p.sum(axis=-1)
-            ring = np.concatenate([p, p[..., :1]], axis=-1).astype(np.int8)
-            a = ((ring[..., :-1] == 0) & (ring[..., 1:] == 1)).sum(axis=-1)
-            p2, p4, p6, p8 = p[..., 0], p[..., 2], p[..., 4], p[..., 6]
-            if phase == 0:
-                cond = (~p2 | ~p4 | ~p6) & (~p4 | ~p6 | ~p8)
-            else:
-                cond = (~p2 | ~p4 | ~p8) & (~p2 | ~p6 | ~p8)
-            remove = img & (b >= 2) & (b <= 6) & (a == 1) & cond
+        for table in _ZHANG_SUEN_TABLES:
+            code[...] = 0
+            for bit, (di, dj) in enumerate(_NEIGHBOURS):
+                np.left_shift(padded[1 + di : h + 1 + di, 1 + dj : w + 1 + dj], bit, out=shifted)
+                code |= shifted
+            remove = table[code]
+            remove &= inner == 1
             if remove.any():
-                img &= ~remove
+                inner[remove] = 0
                 changed = True
-    return img.astype(np.uint8)
+    return inner.copy()
 
 
 @dataclass(frozen=True)

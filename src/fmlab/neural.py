@@ -5,7 +5,10 @@ samples. Conditioning enters through a sinusoidal time embedding summed with
 a label embedding and passed through a two-layer MLP whose output is added
 to the first hidden pre-activation; mask-conditional models additionally
 concatenate the flattened two-channel one-hot mask to the input features.
-Everything is float64 numpy and bit-deterministic for a fixed seed.
+Sampling binds a solve's condition once (VelocityModel.bind): it adds the
+precomputed mask term to the first pre-activation without concatenating, and
+reuses z across the rows and evaluations that share it. Everything is
+float64 numpy and bit-deterministic for a fixed seed.
 """
 from __future__ import annotations
 
@@ -143,7 +146,7 @@ class VelocityModel:
         for layer in range(hidden_layers - 1):
             shapes += [(f"wh{layer}", (w, w)), (f"bh{layer}", (w,))]
         shapes += [("w_out", (w, data_dim)), ("b_out", (data_dim,))]
-        self._hidden = [("w_in", "b_in")] + [(f"wh{i}", f"bh{i}") for i in range(hidden_layers - 1)]
+        self._hidden = [(f"wh{i}", f"bh{i}") for i in range(hidden_layers - 1)]
 
         # One contiguous parameter vector and one gradient vector; _p and _g
         # hold named, reshaped views into them, so the optimizer updates the
@@ -206,19 +209,24 @@ class VelocityModel:
 
     # -- forward / backward --------------------------------------------------
 
+    def _rows(self, x) -> np.ndarray:
+        """x (D,) or (B, D) as a float64 (B, D) batch; a wrong shape raises
+        ShapeError."""
+        x = np.asarray(x, dtype=np.float64)
+        xb = x[None, :] if x.ndim == 1 else x
+        if xb.ndim != 2 or xb.shape[1] != self.data_dim:
+            raise ShapeError(f"x must have trailing dim {self.data_dim}, got {x.shape}")
+        return xb
+
     def _batch(self, x, t, y):
         """Normalize forward/backward inputs to a batch: x (D,) or (B, D) as
         (B, D), t a scalar or (B,) as (B,), y prepared for B rows; the last
         item says whether x was a single sample."""
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        xb = x[None, :] if single else x
-        if xb.ndim != 2 or xb.shape[1] != self.data_dim:
-            raise ShapeError(f"x must have trailing dim {self.data_dim}, got {x.shape}")
+        xb = self._rows(x)
         tb = np.asarray(t, dtype=np.float64)
         if tb.ndim == 0:
             tb = np.full(xb.shape[0], float(tb))
-        return xb, tb, self._prepare_cond(y, xb.shape[0]), single
+        return xb, tb, self._prepare_cond(y, xb.shape[0]), np.ndim(x) == 1
 
     def _conditioning(self, t: np.ndarray, labels):
         """z = MLP(psi(t) + E(labels)), E only for class models (labels None
@@ -238,16 +246,29 @@ class VelocityModel:
         z += p["bz2"]
         return z, e, zh, zh_sig
 
-    def _forward_batch(self, x: np.ndarray, t: np.ndarray, cond):
+    def _forward_batch(self, x: np.ndarray, t: np.ndarray, cond, *, pre=None, z=None):
+        """Network output for the rows of x and the cache backward reads.
+
+        Training passes the prepared cond alone. A bound solve also passes
+        pre, the first layer's condition term (mask term plus b_in) that
+        replaces concatenating cond to x, and z, the conditioning vector,
+        either of which may be one row shared by every row of x."""
         labels = cond if self.mode == CLASS_CONDITIONAL else None
-        x_in = x if labels is not None else np.concatenate([x, cond], axis=1)
-        z, e, zh, zh_sig = self._conditioning(t, labels)
         p = self._p
+        e = zh = zh_sig = None
+        if z is None:
+            z, e, zh, zh_sig = self._conditioning(t, labels)
+        if pre is None:
+            x_in = x if labels is not None else np.concatenate([x, cond], axis=1)
+            first = (p["w_in"], p["b_in"])
+        else:
+            x_in = x
+            first = (p["w_in"][: self.data_dim], pre)
         hs, sigs = [], []
         h = x_in
-        for w, b in self._hidden:
-            h = h @ p[w]
-            h += p[b]
+        for w, b in [first] + [(p[w], p[b]) for w, b in self._hidden]:
+            h = h @ w
+            h += b
             h += z
             sig = _sigmoid(h)
             h *= sig
@@ -257,6 +278,52 @@ class VelocityModel:
         out += p["b_out"]
         cache = {"x_in": x_in, "e": e, "labels": labels, "zh": zh, "zh_sig": zh_sig, "hs": hs, "sigs": sigs}
         return out, cache
+
+    def bind(self, y, guided: bool, batch: int) -> Callable[[np.ndarray, float], np.ndarray]:
+        """Velocity v(x, t) for one ODE solve of batch rows under condition y.
+
+        y is validated and prepared once, as forward would for batch rows,
+        and raises the same errors. Mask models precompute the first-layer
+        mask term [m, 1-m] @ w_in[D:] + b_in per row and compute z, which
+        depends on t alone, as one row; class models compute z once per t for
+        the num_classes + 1 labels and gather it per row. v(x, t) takes x
+        shaped (D,) or (B, D) and a scalar t. Unguided it returns the
+        velocity shaped like x; guided it stacks the conditional and null
+        rows into one _forward_batch call of 2B rows and returns them as
+        (2,) + x.shape, conditional first.
+        """
+        p, d = self._p, self.data_dim
+        cond = self._prepare_cond(y, batch)
+        if self.mode == CLASS_CONDITIONAL:
+            labels, pre = cond, None
+            if guided:
+                labels = np.concatenate([labels, np.full(batch, self.num_classes)])
+            table = np.arange(self.num_classes + 1)
+        else:
+            labels, table = None, None
+            pre = cond @ p["w_in"][d:]
+            pre += p["b_in"]
+            if guided:
+                null = self._prepare_cond(None, 1) @ p["w_in"][d:]
+                null += p["b_in"]
+                pre = np.concatenate([pre, np.broadcast_to(null, pre.shape)])
+        z_t, z = None, None
+
+        def velocity(x, t: float) -> np.ndarray:
+            nonlocal z_t, z
+            xb = self._rows(x)
+            if xb.shape[0] != batch:
+                raise ShapeError(f"x has {xb.shape[0]} rows, bound for {batch}")
+            if z_t != t:  # Heun's corrector and the next predictor share t
+                tb = np.full(1 if table is None else len(table), float(t))
+                z = self._conditioning(tb, table)[0]
+                z_t, z = t, (z if table is None else z[labels])
+            if guided:
+                xb = np.concatenate([xb, xb])
+            out, _ = self._forward_batch(xb, t, labels, pre=pre, z=z)
+            return out.reshape((2,) + np.shape(x) if guided else np.shape(x))
+
+        return velocity
 
     def _backward_batch(self, cache, grad_out: np.ndarray) -> np.ndarray:
         """Write the parameter gradient into the model's gradient buffer and

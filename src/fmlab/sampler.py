@@ -1,9 +1,9 @@
 """Deterministic integration of dx/dt = v(x, t, y) from t=0 to t=1.
 
 Fixed uniform step grids with left-endpoint Euler or Heun (trapezoidal
-predictor-corrector). Velocity sources are either a VelocityModel or any
-callable v(x, t, y) -> array. Optional classifier-free guidance wraps every
-velocity evaluation.
+predictor-corrector). Velocity sources are either a VelocityModel, bound to
+its condition once per solve, or any callable v(x, t, y) -> array. Optional
+classifier-free guidance wraps every velocity evaluation.
 """
 from __future__ import annotations
 
@@ -35,11 +35,37 @@ class IntegratorConfig:
 
 
 def _guard(x: np.ndarray, step: int) -> None:
-    if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > _DIVERGENCE_LIMIT:
+    # NaN fails the comparison, so one test also rejects non-finite states.
+    if not np.max(np.abs(x)) <= _DIVERGENCE_LIMIT:
         raise DivergenceError(
             f"integration state diverged at step {step} (non-finite or |x| > {_DIVERGENCE_LIMIT:g})",
             step=step,
         )
+
+
+def _velocity(model, x: np.ndarray, y, omega: float | None):
+    """The solve's velocity v(state, t), guided when omega is set and not 1.
+
+    A model with bind (VelocityModel) is bound to y once and evaluates the
+    conditional and null rows in one stacked call; a plain callable
+    v(x, t, y) is called once per branch, with None as the null condition.
+    """
+    guided = omega is not None and omega != 1.0
+    if hasattr(model, "bind"):
+        bound = model.bind(y, guided, 1 if x.ndim == 1 else len(x))
+        if not guided:
+            return bound
+        return lambda state, t: cfg_combine(*bound(state, t), omega)
+
+    def velocity(state, t):
+        vc = np.asarray(model(state, t, y), dtype=np.float64)
+        if vc.shape != state.shape:
+            raise ShapeError(f"velocity shape {vc.shape} does not match state {state.shape}")
+        if not guided:
+            return vc
+        return cfg_combine(vc, np.asarray(model(state, t, None), dtype=np.float64), omega)
+
+    return velocity
 
 
 def integrate(model, x0, y, config: IntegratorConfig) -> np.ndarray:
@@ -53,18 +79,7 @@ def integrate(model, x0, y, config: IntegratorConfig) -> np.ndarray:
     x = np.asarray(x0, dtype=np.float64).copy()
     if not np.all(np.isfinite(x)):
         raise DomainError("initial state must be finite")
-    v = getattr(model, "forward", model)
-    omega = config.cfg_omega
-
-    def velocity(state, t):
-        vc = np.asarray(v(state, t, y), dtype=np.float64)
-        if vc.shape != state.shape:
-            raise ShapeError(f"velocity shape {vc.shape} does not match state {state.shape}")
-        if omega is None or omega == 1.0:
-            return vc
-        vu = np.asarray(v(state, t, None), dtype=np.float64)
-        return cfg_combine(vc, vu, omega)
-
+    velocity = _velocity(model, x, y, config.cfg_omega)
     k = config.steps
     h = 1.0 / k
     for step in range(k):

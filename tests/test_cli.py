@@ -876,6 +876,35 @@ def test_propagate_rejects_a_renderer_for_other_masks(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["a\tb.pgm", "\u00e9.pgm"])
+@pytest.mark.parametrize("render", [False, True])
+def test_propagate_rejected_record_leaves_no_output(workspace, tmp_path, capsys, name, render):
+    # The provenance base=<name> is a field the manifest cannot carry.
+    src = tmp_path / "src"
+    src.mkdir()
+    save_mask(src / "a.pgm", load_mask(workspace / "masks" / "s00.pgm"))
+    save_mask(src / name, load_mask(workspace / "masks" / "s01.pgm"))
+    out = tmp_path / "prop_rejected"
+    argv = ["propagate", "--masks", str(src), "--k", "2", "--out", str(out)]
+    if render:
+        argv += ["--image-model", str(workspace / "render.fmck"), "--ode-steps", "2"]
+    assert main(argv) == 2
+    assert "manifest field" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_propagate_rejected_comment_leaves_no_output(workspace, tmp_path, capsys):
+    # An empty mask is skipped, and the skip comment names its non-ASCII file.
+    src = tmp_path / "src"
+    src.mkdir()
+    save_mask(src / "a.pgm", load_mask(workspace / "masks" / "s00.pgm"))
+    save_mask(src / "\u00e9.pgm", np.zeros((8, 8), dtype=np.uint8))
+    out = tmp_path / "prop_rejected"
+    assert main(["propagate", "--masks", str(src), "--k", "2", "--out", str(out)]) == 2
+    assert "non-ASCII" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stats_cli(workspace, tmp_path):
     out = tmp_path / "stats.tsv"
     code = main(

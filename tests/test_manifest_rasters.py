@@ -229,6 +229,14 @@ def test_record_rejects_tab_and_line_breaks(field, char):
         ManifestRecord(coverage_class=0, strategy="real", **fields)
 
 
+@pytest.mark.parametrize("field", ["image_path", "mask_path", "provenance"])
+def test_record_rejects_non_ascii_text(field):
+    fields = dict(image_path="i.pgm", mask_path="m.pgm", provenance="base=a.pgm")
+    fields[field] = "base=\u00e9.pgm"
+    with pytest.raises(DomainError, match="non-ASCII"):
+        ManifestRecord(coverage_class=0, strategy="real", **fields)
+
+
 def test_record_rejects_image_path_read_as_comment():
     with pytest.raises(DomainError, match="comment"):
         ManifestRecord("#a.pgm", "m.pgm", 0, "real")
@@ -240,6 +248,13 @@ def test_write_manifest_rejects_line_break_in_comment(tmp_path, comment):
     path = tmp_path / "manifest.tsv"
     with pytest.raises(DomainError, match="line break"):
         write_manifest(path, _records(), comments=[comment])
+    assert not path.exists()
+
+
+def test_write_manifest_rejects_non_ascii_comment(tmp_path):
+    path = tmp_path / "manifest.tsv"
+    with pytest.raises(DomainError, match="non-ASCII"):
+        write_manifest(path, _records(), comments=["skipped \u00e9.pgm"])
     assert not path.exists()
 
 

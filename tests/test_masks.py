@@ -411,6 +411,65 @@ def test_skeletonize_thins_thick_bar():
     assert 0 < skel.sum() <= 7
 
 
+def _reference_skeletonize(m):
+    """Zhang & Suen (1984), one pixel at a time: each subiteration marks the
+    pixels to remove from the current image, then removes them together."""
+    img = np.pad(np.asarray(m, dtype=np.uint8), 1)
+    offsets = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
+    changed = True
+    while changed:
+        changed = False
+        for first in (True, False):
+            marked = []
+            for i in range(1, img.shape[0] - 1):
+                for j in range(1, img.shape[1] - 1):
+                    if not img[i, j]:
+                        continue
+                    p = [int(img[i + di, j + dj]) for di, dj in offsets]  # p2..p9
+                    b = sum(p)
+                    a = sum(p[k] == 0 and p[(k + 1) % 8] == 1 for k in range(8))
+                    p2, p4, p6, p8 = p[0], p[2], p[4], p[6]
+                    if first:
+                        keep_edge = p2 * p4 * p6 == 0 and p4 * p6 * p8 == 0
+                    else:
+                        keep_edge = p2 * p4 * p8 == 0 and p2 * p6 * p8 == 0
+                    if 2 <= b <= 6 and a == 1 and keep_edge:
+                        marked.append((i, j))
+            for i, j in marked:
+                img[i, j] = 0
+            changed |= bool(marked)
+    return img[1:-1, 1:-1]
+
+
+_SMALL_MASKS = st.tuples(
+    st.integers(1, 14), st.integers(1, 14), st.integers(0, 2**32 - 1), st.floats(0.05, 0.95)
+)
+
+
+def _mask_from(spec):
+    h, w, seed, density = spec
+    m = (np.random.default_rng(seed).random((h, w)) < density).astype(np.uint8)
+    return dilate(m) if seed % 2 else m  # dilated masks have thick strokes
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SMALL_MASKS)
+def test_skeletonize_matches_per_pixel_zhang_suen(spec):
+    m = _mask_from(spec)
+    skel = skeletonize(m)
+    assert skel.dtype == np.uint8 and skel.flags.c_contiguous
+    assert np.array_equal(skel, _reference_skeletonize(m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SMALL_MASKS)
+def test_skeleton_lies_in_mask_and_is_a_fixed_point(spec):
+    m = _mask_from(spec)
+    skel = skeletonize(m)
+    assert np.all(skel <= m)
+    assert np.array_equal(skeletonize(skel), skel)
+
+
 def test_estimate_stats_single_class():
     bins = uniform_bins(4, 0.75)
     masks = [_line() for _ in range(10)]  # coverage 6/64 -> class 0

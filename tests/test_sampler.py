@@ -4,6 +4,7 @@ import pytest
 from fmlab.errors import DivergenceError, DomainError, ShapeError
 from fmlab.neural import VelocityModel
 from fmlab.sampler import IntegratorConfig, integrate, integrate_from_background
+from fmlab.schedules import cfg_combine
 
 
 def test_config_validation():
@@ -161,3 +162,121 @@ def test_batched_injection_matches_per_row_solves(method):
     for row, (bg, m) in enumerate(zip(backgrounds, masks)):
         single = integrate_from_background(model, bg, m, cfg)
         assert np.max(np.abs(batched[row] - single)) <= 1e-12
+
+
+# -- bound solves ------------------------------------------------------------------
+
+
+def _two_call_integrate(model, x0, y, config):
+    """Reference solve: forward(x, t, y) per evaluation, plus a second
+    forward(x, t, None) for the null branch when guided."""
+    x = np.asarray(x0, dtype=np.float64).copy()
+    omega = config.cfg_omega
+
+    def velocity(state, t):
+        vc = model.forward(state, t, y)
+        if omega is None or omega == 1.0:
+            return vc
+        return cfg_combine(vc, model.forward(state, t, None), omega)
+
+    k = config.steps
+    h = 1.0 / k
+    for step in range(k):
+        v0 = velocity(x, step / k)
+        if config.method == "euler":
+            x = x + h * v0
+        else:
+            v1 = velocity(x + h * v0, (step + 1) / k)
+            x = x + 0.5 * h * (v0 + v1)
+    return x
+
+
+def _random_model(mode, seed=0):
+    """A 4x4 model with random weights everywhere, so every input matters."""
+    model = VelocityModel(
+        data_dim=16, mode=mode, num_classes=3, mask_shape=(4, 4), width=8, hidden_layers=3, seed=seed
+    )
+    model.set_params(np.random.default_rng(seed + 1).normal(0.0, 0.5, model.n_params))
+    return model
+
+
+def _conditions(mode, rng, batch):
+    if mode == "class_conditional":
+        return rng.integers(0, 4, batch)  # label 3 is the null token
+    return (rng.random((batch, 4, 4)) < 0.3).astype(np.uint8)
+
+
+@pytest.mark.parametrize("omega", [None, 1.0, 1.2])
+@pytest.mark.parametrize("method", ["euler", "heun"])
+@pytest.mark.parametrize("mode", ["class_conditional", "mask_conditional"])
+def test_bound_solve_matches_two_call_solve(mode, method, omega):
+    model = _random_model(mode)
+    rng = np.random.default_rng(3)
+    x0 = rng.standard_normal((5, 16))
+    cfg = IntegratorConfig(method, 7, cfg_omega=omega)
+    # Per-row conditions, the null condition, and one condition for every row.
+    for y in (_conditions(mode, rng, 5), None, _conditions(mode, rng, 1)[0]):
+        bound = integrate(model, x0, y, cfg)
+        assert np.max(np.abs(bound - _two_call_integrate(model, x0, y, cfg))) <= 1e-12
+    # A single sample (D,) under a single label or mask.
+    y1 = _conditions(mode, rng, 1)[0]
+    single = integrate(model, x0[0], y1, cfg)
+    assert single.shape == (16,)
+    assert np.max(np.abs(single - _two_call_integrate(model, x0[0], y1, cfg))) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["class_conditional", "mask_conditional"])
+def test_bound_solve_with_omega_one_is_bit_identical_to_unguided(mode):
+    model = _random_model(mode)
+    rng = np.random.default_rng(4)
+    x0, y = rng.standard_normal((6, 16)), _conditions(mode, rng, 6)
+    for method in ("euler", "heun"):
+        unguided = integrate(model, x0, y, IntegratorConfig(method, 9))
+        guided = integrate(model, x0, y, IntegratorConfig(method, 9, cfg_omega=1.0))
+        assert np.array_equal(unguided, guided)
+
+
+@pytest.mark.parametrize("mode", ["class_conditional", "mask_conditional"])
+def test_guided_euler_solve_stacks_both_branches_into_one_call_per_step(mode, monkeypatch):
+    model = _random_model(mode)
+    rows = []
+    original = VelocityModel._forward_batch
+
+    def counting(self, x, t, cond, **kwargs):
+        rows.append(x.shape[0])
+        return original(self, x, t, cond, **kwargs)
+
+    monkeypatch.setattr(VelocityModel, "_forward_batch", counting)
+    monkeypatch.setattr(VelocityModel, "forward", None)  # a solve never calls it
+    rng = np.random.default_rng(5)
+    integrate(model, rng.standard_normal((5, 16)), _conditions(mode, rng, 5), IntegratorConfig("euler", 11, 1.2))
+    assert rows == [10] * 11
+    rows.clear()
+    integrate(model, rng.standard_normal((5, 16)), _conditions(mode, rng, 5), IntegratorConfig("euler", 11))
+    assert rows == [5] * 11
+
+
+def _error_of(call):
+    with pytest.raises((ShapeError, DomainError)) as err:
+        call()
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("guided", [False, True])
+def test_bind_raises_what_forward_raises(guided):
+    cls_model, mask_model = _random_model("class_conditional"), _random_model("mask_conditional")
+    x = np.zeros((3, 16))
+    cases = [
+        (cls_model, np.zeros((3, 9)), np.zeros(3, dtype=int)),  # wrong x width
+        (cls_model, np.zeros(15), 0),  # wrong single-sample width
+        (cls_model, x, np.zeros(4, dtype=int)),  # one label too many
+        (cls_model, x, np.array([0, 1, 4])),  # label past the null token
+        (cls_model, x, np.array([0, -1, 1])),  # negative label
+        (mask_model, np.zeros((3, 12)), np.zeros((3, 4, 4))),  # wrong x width
+        (mask_model, x, np.zeros((3, 3, 3))),  # wrong mask size
+        (mask_model, x, np.zeros((2, 4, 4))),  # one mask too few
+    ]
+    for model, xb, y in cases:
+        expected = _error_of(lambda: model.forward(xb, 0.5, y))
+        batch = 1 if xb.ndim == 1 else len(xb)
+        assert _error_of(lambda: model.bind(y, guided, batch)(xb, 0.5)) == expected
