@@ -12,6 +12,10 @@ Every command solves its ODE rows through _solve_rows, in batched calls of
 at most _SOLVE_ROWS rows, so a command's cost scales with rows x steps and
 its solver memory does not grow with the number of pairs it writes. Each
 model that renders masks is loaded and checked by _load_renderer.
+
+Outputs other than rasters are built whole, then replaced in one step by
+_files.write_file. _write_records checks every record before any image
+solve or raster write, and writes its manifest last.
 """
 from __future__ import annotations
 
@@ -20,14 +24,16 @@ import math
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import masks as mask_ops
 from . import metrics, rasters, toys
+from ._files import write_file
 from .errors import DivergenceError, DomainError, NumericError, ShapeError, TrainingError
-from .manifest import ManifestRecord, check_comments, read_manifest, write_manifest
+from .manifest import ManifestRecord, check_cell, check_comments, read_manifest, write_manifest
 from .neural import (
     CLASS_CONDITIONAL,
     MASK_CONDITIONAL,
@@ -92,14 +98,10 @@ _ARCH_KEYS = ("mode", "data_dim", "width", "hidden_layers", "time_embed_dim", "n
 
 
 def _write_meta(path, model: VelocityModel, extra: dict[str, str]) -> None:
-    meta = {key: str(getattr(model, key)) for key in _ARCH_KEYS}
+    meta = {key: getattr(model, key) for key in _ARCH_KEYS}
     if model.mask_shape is not None:
-        meta["mask_height"] = str(model.mask_shape[0])
-        meta["mask_width"] = str(model.mask_shape[1])
-    meta.update(extra)
-    with open(path, "w", encoding="ascii") as fh:
-        for key, value in meta.items():
-            fh.write(f"{key}={value}\n")
+        meta["mask_height"], meta["mask_width"] = model.mask_shape
+    write_file(path, (f"{key}={value}\n" for key, value in {**meta, **extra}.items()))
 
 
 def load_model(checkpoint_path) -> tuple[VelocityModel, dict[str, str]]:
@@ -170,26 +172,28 @@ def _load_renderer(path, mask_shape=None) -> VelocityModel:
     return model
 
 
-def _write_records(out_dir: Path, rows, strategy: str, bins, comments) -> int:
-    """Write each row (stem, image or None, mask, seed, provenance) as
-    masks/<stem>.pgm, plus images/<stem>.pgm when it has an image, and list
-    them all in out_dir/manifest.tsv; returns the number of records. Every
-    record and comment is checked before the first file is written, and the
-    manifest is written last, so a rejected one leaves no output."""
+def _write_records(out_dir: Path, rows, strategy: str, bins, comments, render=None) -> int:
+    """Write each row (stem, mask, seed, provenance) as masks/<stem>.pgm and
+    list them all in out_dir/manifest.tsv; returns the number of records.
+    render, when given, maps the stack of row masks to one image per row,
+    written as images/<stem>.pgm. Every record and comment is checked before
+    render runs, and the manifest is written last, so a rejected one costs
+    no ODE solve and leaves no output."""
     records = [
         ManifestRecord(
-            image_path="" if image is None else f"images/{stem}.pgm",
+            image_path="" if render is None else f"images/{stem}.pgm",
             mask_path=f"masks/{stem}.pgm",
             coverage_class=mask_ops.assign_class(mask_ops.coverage(mask), bins),
             strategy=strategy,
             seed=int(seed),
             provenance=provenance,
         )
-        for stem, image, mask, seed, provenance in rows
+        for stem, mask, seed, provenance in rows
     ]
     check_comments(comments)
+    images = render(np.stack([row[1] for row in rows])) if render and rows else [None] * len(rows)
     (out_dir / "masks").mkdir(parents=True, exist_ok=True)
-    for rec, (_, image, mask, _, _) in zip(records, rows):
+    for rec, (_, mask, _, _), image in zip(records, rows, images):
         if image is not None:
             (out_dir / "images").mkdir(exist_ok=True)
             rasters.save_image(out_dir / rec.image_path, image.reshape(mask.shape))
@@ -282,11 +286,11 @@ def cmd_train(args) -> int:
         seed=seed,
     )
     log_every = int(cfg.get("log_every", "50"))
-    log_rows: list[tuple[int, float]] = []
+    log = ["step\tloss\n"]
 
     def on_step(step: int, loss: float):
         if step % log_every == 0 or step == tcfg.steps:
-            log_rows.append((step, loss))
+            log.append(f"{step}\t{loss!r}\n")
 
     if task == "injector":
         bg_files = _sorted_files(cfg["data_backgrounds"])
@@ -300,10 +304,7 @@ def cmd_train(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, state.params, state.ema_params)
     _write_meta(str(out) + ".meta", model, extra)
-    with open(str(out) + ".log.tsv", "w", encoding="ascii") as fh:
-        fh.write("step\tloss\n")
-        for step, loss in log_rows:
-            fh.write(f"{step}\t{repr(loss)}\n")
+    write_file(str(out) + ".log.tsv", log)
     print(f"wrote checkpoint {out} ({state.step} steps)")
     return EXIT_OK
 
@@ -350,14 +351,14 @@ def _synthesize(
                 )
                 mask_stack[i] = mask_ops.propagate(m, policy)[0].mask
 
-    images = _solve_rows(integrate, image_model, image_x0, mask_stack.astype(np.float64), icfg)
     digits = len(str(max(n_total - 1, 1)))
     tag = ";perturbed" if perturb else ""
     rows = [
-        (f"{prefix}_{i:0{digits}d}", image, m, s, f"{prefix};requested_class={c}{tag}")
-        for i, (image, m, s, c) in enumerate(zip(images, mask_stack, seeds, labels))
+        (f"{prefix}_{i:0{digits}d}", m, s, f"{prefix};requested_class={c}{tag}")
+        for i, (m, s, c) in enumerate(zip(mask_stack, seeds, labels))
     ]
-    n = _write_records(Path(args.out), rows, "A_mask_gen", _bins_from(mask_meta), header)
+    render = partial(_solve_rows, integrate, image_model, image_x0, icfg=icfg)
+    n = _write_records(Path(args.out), rows, "A_mask_gen", _bins_from(mask_meta), header, render)
     print(f"synthesized {n} pairs into {args.out}")
 
 
@@ -418,30 +419,24 @@ def cmd_inject(args) -> int:
     backgrounds = {p: rasters.load_image(p) for p in dict.fromkeys(b for b, _ in pairs)}
     mask_rasters = {p: rasters.load_mask(p) for p in dict.fromkeys(m for _, m in pairs)}
     icfg = IntegratorConfig(method=args.method, steps=args.ode_steps)
-
     h, w = dims = model.mask_shape
-    kept = []
+    digits = len(str(max(len(pairs) - 1, 1)))
+    rows, bg_rows = [], []
     for i, (bg_path, mask_path) in enumerate(pairs):
         if backgrounds[bg_path].shape != dims or mask_rasters[mask_path].shape != dims:
             msg = f"skipped pair ({bg_path.name}, {mask_path.name}): dims do not match {h}x{w}"
             print(f"warning: {msg}", file=sys.stderr)
             notes.append(msg)
-        else:
-            kept.append(i)
+            continue
+        provenance = f"inject;background={bg_path.name};mask={mask_path.name}"
+        rows.append((f"inject_{i:0{digits}d}", mask_rasters[mask_path], args.seed, provenance))
+        bg_rows.append(backgrounds[bg_path])
 
-    bg_stack = np.array([backgrounds[pairs[i][0]] for i in kept]).reshape(len(kept), h * w)
-    mask_stack = np.array([mask_rasters[pairs[i][1]] for i in kept]).reshape(len(kept), h, w)
-    images = _solve_rows(integrate_from_background, model, bg_stack, mask_stack, icfg)
-
-    digits = len(str(max(len(pairs) - 1, 1)))
-    provenance = "inject;background={0.name};mask={1.name}"
-    rows = [
-        (f"inject_{i:0{digits}d}", image, mask, args.seed, provenance.format(*pairs[i]))
-        for i, image, mask in zip(kept, images, mask_stack)
-    ]
+    bg_stack = np.array(bg_rows).reshape(len(rows), h * w)
+    render = partial(_solve_rows, integrate_from_background, model, bg_stack, icfg=icfg)
     bins = mask_ops.uniform_bins(args.num_classes, args.max_coverage)
-    n = _write_records(Path(args.out), rows, "C_background_injected", bins, notes)
-    print(f"injected {n} pairs into {args.out} ({len(pairs) - len(kept)} skipped)")
+    n = _write_records(Path(args.out), rows, "C_background_injected", bins, notes, render)
+    print(f"injected {n} pairs into {args.out} ({len(pairs) - n} skipped)")
     return EXIT_OK
 
 
@@ -518,6 +513,7 @@ def cmd_evaluate(args) -> int:
 
     rows = []
     for name in sorted(gt_names):
+        check_cell(name, "file name")
         soft = rasters.load_image(pred_dir / name)
         pred = (soft >= args.threshold).astype(np.uint8)
         gt = rasters.load_mask(gt_dir / name)
@@ -525,19 +521,15 @@ def cmd_evaluate(args) -> int:
         rows.append((name, metrics.iou(counts), metrics.f1(counts)))
     miou = float(np.mean([r[1] for r in rows]))
     mf1 = float(np.mean([r[2] for r in rows]))
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write("file\tiou\tf1\n")
-        for name, i_val, f_val in rows:
-            fh.write(f"{name}\t{repr(i_val)}\t{repr(f_val)}\n")
-        fh.write(f"__mean__\t{repr(miou)}\t{repr(mf1)}\n")
     report: dict[str, float] = {}
     if args.features_real is not None:
         real = metrics.load_feature_set_tsv(args.features_real)
         syn = metrics.load_feature_set_tsv(args.features_syn)
         report["fid"] = metrics.fid(real, syn)
         report["kid_x1000"] = 1000.0 * metrics.kid(real, syn)
-    report["miou"] = miou
-    report["f1"] = mf1
+    report.update(miou=miou, f1=mf1)
+    table = [f"{name}\t{i_val!r}\t{f_val!r}\n" for name, i_val, f_val in rows]
+    write_file(args.out, ["file\tiou\tf1\n", *table, f"__mean__\t{miou!r}\t{mf1!r}\n"])
     if args.report:
         metrics.write_metric_report(args.report, report)
     print(f"evaluated {len(rows)} pairs: mIoU={miou:.4f} F1={mf1:.4f}")
@@ -570,18 +562,17 @@ def cmd_propagate(args) -> int:
         render_seeds.extend(_record_seeds(args.seed + i, args.k))
         for j, variant in enumerate(mask_ops.propagate(m, policy)):
             provenance = f"base={src.name};variant={j};{variant.provenance}"
-            rows.append((f"prop_{i:04d}_{j}", None, variant.mask, args.seed + i, provenance))
+            rows.append((f"prop_{i:04d}_{j}", variant.mask, args.seed + i, provenance))
 
-    if image_model is not None and rows:
+    render = None
+    if image_model is not None:
         # Each variant renders from its own record seed.
         dim = image_model.data_dim
-        x0 = np.stack([np.random.default_rng(int(s)).standard_normal(dim) for s in render_seeds])
-        mask_stack = np.stack([r[2] for r in rows]).astype(np.float64)
+        x0 = np.array([np.random.default_rng(int(s)).standard_normal(dim) for s in render_seeds])
         icfg = IntegratorConfig(method=args.method, steps=args.ode_steps)
-        images = _solve_rows(integrate, image_model, x0, mask_stack, icfg)
-        rows = [(r[0], image, *r[2:]) for r, image in zip(rows, images)]
+        render = partial(_solve_rows, integrate, image_model, x0, icfg=icfg)
     bins = mask_ops.uniform_bins(args.num_classes, args.max_coverage)
-    n = _write_records(Path(args.out), rows, "B_propagated", bins, skipped)
+    n = _write_records(Path(args.out), rows, "B_propagated", bins, skipped, render)
     print(f"propagated {len(files) - len(skipped)} masks into {n} variants")
     return EXIT_OK
 
@@ -590,12 +581,9 @@ def cmd_stats(args) -> int:
     mask_list, _ = _load_mask_dir(args.masks)
     bins = mask_ops.uniform_bins(args.num_classes, args.max_coverage)
     stats = mask_ops.estimate_target_stats(mask_list, args.fraction, bins, seed=args.seed)
-    with open(args.out, "w", encoding="ascii") as fh:
-        fh.write("key\tvalue\n")
-        for c, freq in enumerate(stats.histogram):
-            fh.write(f"class_{c}\t{repr(float(freq))}\n")
-        fh.write(f"mean_width\t{repr(stats.mean_width)}\n")
-        fh.write(f"n_used\t{stats.n_used}\n")
+    classes = [f"class_{c}\t{float(freq)!r}\n" for c, freq in enumerate(stats.histogram)]
+    tail = [f"mean_width\t{stats.mean_width!r}\n", f"n_used\t{stats.n_used}\n"]
+    write_file(args.out, ["key\tvalue\n", *classes, *tail])
     print(f"stats over {stats.n_used}/{len(mask_list)} masks written to {args.out}")
     return EXIT_OK
 

@@ -6,9 +6,9 @@ regardless of where they execute. Lines starting with '#' are header
 comments (split rules, skipped-pair warnings) and are preserved on read,
 without their surrounding whitespace. Manifests are ASCII. A record's path
 and provenance fields cannot hold a tab, a line break or non-ASCII text,
-nor can an image path start with '#' (ManifestRecord rejects them), and
-check_comments rejects a comment with a line break or non-ASCII text;
-write_manifest calls it before it opens the file.
+nor can an image path start with '#' (ManifestRecord rejects them with
+check_cell), and check_comments rejects a comment with a line break or
+non-ASCII text; write_manifest calls it, then replaces the file whole.
 """
 from __future__ import annotations
 
@@ -16,12 +16,14 @@ import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from ._files import write_file
 from .errors import DomainError
 
 __all__ = [
     "STRATEGIES",
     "SPLITS",
     "ManifestRecord",
+    "check_cell",
     "check_comments",
     "write_manifest",
     "read_manifest",
@@ -46,10 +48,7 @@ class ManifestRecord:
 
     def __post_init__(self):
         for text in (self.image_path, self.mask_path, self.provenance):
-            if any(c in text for c in "\t\r\n"):
-                raise DomainError(f"manifest field {text!r} holds a tab or line break")
-            if not text.isascii():
-                raise DomainError(f"manifest field {text!r} holds non-ASCII text")
+            check_cell(text)
         if self.image_path.startswith("#"):
             raise DomainError(f"image path {self.image_path!r} would read as a comment")
         if self.strategy not in STRATEGIES:
@@ -59,6 +58,14 @@ class ManifestRecord:
 
     def with_split(self, split: str) -> "ManifestRecord":
         return replace(self, split=split)
+
+
+def check_cell(text: str, what: str = "manifest field") -> None:
+    """Reject text that one cell of an ASCII TSV row cannot carry."""
+    if any(c in text for c in "\t\r\n"):
+        raise DomainError(f"{what} {text!r} holds a tab or line break")
+    if not text.isascii():
+        raise DomainError(f"{what} {text!r} holds non-ASCII text")
 
 
 def check_comments(comments: list[str] | None) -> None:
@@ -72,25 +79,9 @@ def check_comments(comments: list[str] | None) -> None:
 
 def write_manifest(path, records: list[ManifestRecord], comments: list[str] | None = None) -> None:
     check_comments(comments)
-    with open(path, "w", encoding="ascii") as fh:
-        for comment in comments or []:
-            fh.write(f"# {comment}\n")
-        fh.write("\t".join(_COLUMNS) + "\n")
-        for rec in records:
-            fh.write(
-                "\t".join(
-                    (
-                        rec.image_path,
-                        rec.mask_path,
-                        str(rec.coverage_class),
-                        rec.strategy,
-                        rec.split,
-                        str(rec.seed),
-                        rec.provenance,
-                    )
-                )
-                + "\n"
-            )
+    lines = [f"# {comment}\n" for comment in comments or []] + ["\t".join(_COLUMNS) + "\n"]
+    lines += ["\t".join(str(getattr(rec, col)) for col in _COLUMNS) + "\n" for rec in records]
+    write_file(path, lines)
 
 
 def read_manifest(path) -> tuple[list[ManifestRecord], list[str]]:

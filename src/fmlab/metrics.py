@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import write_file
 from .errors import DomainError, NumericError, ShapeError
 from .masks import as_mask
 from .neural import _sigmoid
@@ -268,9 +269,7 @@ def combined_loss(
 def save_feature_set_tsv(path, features) -> None:
     """One row per sample, tab-separated f64 columns, no header."""
     features = _check_feature_set(features, "features")
-    with open(path, "w", encoding="ascii") as fh:
-        for row in features:
-            fh.write("\t".join(repr(float(v)) for v in row) + "\n")
+    write_file(path, ("\t".join(repr(float(v)) for v in row) + "\n" for row in features))
 
 
 def load_feature_set_tsv(path) -> np.ndarray:
@@ -287,7 +286,5 @@ def load_feature_set_tsv(path) -> np.ndarray:
 
 def write_metric_report(path, values: dict[str, float]) -> None:
     """Single-row TSV with named metric columns (e.g. fid, kid_x1000, miou, f1)."""
-    keys = list(values.keys())
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\t".join(keys) + "\n")
-        fh.write("\t".join(repr(float(values[k])) for k in keys) + "\n")
+    row = "\t".join(repr(float(v)) for v in values.values())
+    write_file(path, ("\t".join(values) + "\n", row + "\n"))

@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._files import write_file
 from .errors import DomainError, ShapeError, TrainingError
 from .schedules import (
     PathSchedule,
@@ -606,12 +607,8 @@ def save_checkpoint(path, params: np.ndarray, ema_params: np.ndarray) -> None:
     ema_params = np.ascontiguousarray(ema_params, dtype="<f8")
     if params.shape != ema_params.shape or params.ndim != 1:
         raise ShapeError("params and ema_params must be equal-length vectors")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", params.size))
-        fh.write(params.tobytes())
-        fh.write(ema_params.tobytes())
+    header = CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, params.size)
+    write_file(path, (header, params, ema_params))
 
 
 def load_checkpoint(path) -> tuple[np.ndarray, np.ndarray]:

@@ -69,6 +69,14 @@ def _load_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
     return np.rint(raster * 255.0 / maxval).astype(np.uint8)
 
 
+def _save_netpbm(path, magic: bytes, raster: np.ndarray) -> None:
+    """Write a uint8 raster as binary P5/P6 with maxval 255, in place: a temp
+    file and rename would cost more than the raster itself."""
+    with open(path, "wb") as fh:
+        fh.write(b"%s\n%d %d\n255\n" % (magic, raster.shape[1], raster.shape[0]))
+        fh.write(raster.tobytes())
+
+
 def load_pgm(path) -> np.ndarray:
     """Read a P5 grayscale raster as (H, W) uint8."""
     return _load_netpbm(path, b"P5", 1)[:, :, 0]
@@ -78,9 +86,7 @@ def save_pgm(path, raster: np.ndarray) -> None:
     raster = np.asarray(raster)
     if raster.ndim != 2 or raster.dtype != np.uint8:
         raise ShapeError(f"PGM raster must be 2D uint8, got {raster.shape} {raster.dtype}")
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{raster.shape[1]} {raster.shape[0]}\n255\n".encode("ascii"))
-        fh.write(raster.tobytes())
+    _save_netpbm(path, b"P5", raster)
 
 
 def load_ppm(path) -> np.ndarray:
@@ -92,9 +98,7 @@ def save_ppm(path, raster: np.ndarray) -> None:
     raster = np.asarray(raster)
     if raster.ndim != 3 or raster.shape[2] != 3 or raster.dtype != np.uint8:
         raise ShapeError(f"PPM raster must be (H,W,3) uint8, got {raster.shape} {raster.dtype}")
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{raster.shape[1]} {raster.shape[0]}\n255\n".encode("ascii"))
-        fh.write(raster.tobytes())
+    _save_netpbm(path, b"P6", raster)
 
 
 def load_mask(path) -> np.ndarray:

@@ -505,6 +505,32 @@ def test_inject_cartesian_reads_each_raster_once(workspace, tmp_path, monkeypatc
     assert sorted(loads) == sorted(p.name for p in (workspace / "backgrounds").iterdir())
 
 
+@pytest.mark.parametrize("folder", ["backgrounds", "masks"])
+@pytest.mark.parametrize("name", ["a\tb.pgm", "\u00e9.pgm"])
+def test_inject_rejected_record_costs_no_solve(
+    workspace, tmp_path, monkeypatch, capsys, folder, name
+):
+    # The provenance background=<name> or mask=<name> is a field the manifest cannot carry.
+    dirs = {sub: tmp_path / sub for sub in ("backgrounds", "masks")}
+    for sub, d in dirs.items():
+        d.mkdir()
+        files = sorted((workspace / sub).iterdir())[:2]
+        for src, dst in zip(files, [files[0].name, name if sub == folder else files[1].name]):
+            (d / dst).write_bytes(src.read_bytes())
+    solves = []
+    real_solve = cli.integrate_from_background
+    monkeypatch.setattr(
+        cli, "integrate_from_background", lambda *a: solves.append(a) or real_solve(*a)
+    )
+    out = tmp_path / "inj_rejected"
+    argv = ["inject", "--model", str(workspace / "inject.fmck"), "--pairing", "cartesian"]
+    argv += ["--backgrounds", str(dirs["backgrounds"]), "--masks", str(dirs["masks"])]
+    assert main(argv + ["--ode-steps", "2", "--out", str(out)]) == 2
+    assert "manifest field" in capsys.readouterr().err
+    assert solves == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "error",
     [
@@ -731,6 +757,19 @@ def test_evaluate_unpaired_feature_flag_writes_no_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["b\tc.pgm", "b\nc.pgm", "z\u00e9.pgm"])
+def test_evaluate_rejects_a_name_a_tsv_row_cannot_carry(tmp_path, capsys, name):
+    masks = tmp_path / "masks"
+    masks.mkdir()
+    for stem in ("a.pgm", name):
+        save_mask(masks / stem, np.eye(4, dtype=np.uint8))
+    out, report = tmp_path / "eval.tsv", tmp_path / "report.tsv"
+    argv = ["evaluate", "--pred", str(masks), "--gt", str(masks)]
+    assert main(argv + ["--out", str(out), "--report", str(report)]) == 2
+    assert f"file name {name!r}" in capsys.readouterr().err
+    assert not out.exists() and not report.exists()
+
+
 def test_evaluate_missing_counterpart_exits_3(tmp_path, capsys):
     pred, gt = tmp_path / "pred", tmp_path / "gt"
     pred.mkdir(), gt.mkdir()
@@ -878,18 +917,24 @@ def test_propagate_rejects_a_renderer_for_other_masks(
 
 @pytest.mark.parametrize("name", ["a\tb.pgm", "\u00e9.pgm"])
 @pytest.mark.parametrize("render", [False, True])
-def test_propagate_rejected_record_leaves_no_output(workspace, tmp_path, capsys, name, render):
+def test_propagate_rejected_record_leaves_no_output(
+    workspace, tmp_path, monkeypatch, capsys, name, render
+):
     # The provenance base=<name> is a field the manifest cannot carry.
     src = tmp_path / "src"
     src.mkdir()
     save_mask(src / "a.pgm", load_mask(workspace / "masks" / "s00.pgm"))
     save_mask(src / name, load_mask(workspace / "masks" / "s01.pgm"))
+    solves = []
+    real_solve = cli.integrate
+    monkeypatch.setattr(cli, "integrate", lambda *a: solves.append(a) or real_solve(*a))
     out = tmp_path / "prop_rejected"
     argv = ["propagate", "--masks", str(src), "--k", "2", "--out", str(out)]
     if render:
         argv += ["--image-model", str(workspace / "render.fmck"), "--ode-steps", "2"]
     assert main(argv) == 2
     assert "manifest field" in capsys.readouterr().err
+    assert solves == []
     assert not out.exists()
 
 
