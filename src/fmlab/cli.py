@@ -11,7 +11,8 @@ mismatch.
 Every command solves its ODE rows through _solve_rows, in batched calls of
 at most _SOLVE_ROWS rows, so a command's cost scales with rows x steps and
 its solver memory does not grow with the number of pairs it writes. Each
-model that renders masks is loaded and checked by _load_renderer.
+model that renders masks is loaded and checked by _load_renderer, and each
+--mask-model by _load_mask_generator.
 
 Outputs other than rasters are built whole, then replaced in one step by
 _files.write_file. _write_records checks every record before any image
@@ -172,6 +173,14 @@ def _load_renderer(path, mask_shape=None) -> VelocityModel:
     return model
 
 
+def _load_mask_generator(path) -> tuple[VelocityModel, dict[str, str], mask_ops.CoverageBinning]:
+    """Model, .meta and coverage bins at path; the .meta must say task=mask_generator."""
+    model, meta = load_model(path)
+    if meta.get("task") != "mask_generator":
+        raise DomainError(f"--mask-model {path}: need task=mask_generator, got task={meta.get('task')}")
+    return model, meta, _bins_from(meta)
+
+
 def _write_records(out_dir: Path, rows, strategy: str, bins, comments, render=None) -> int:
     """Write each row (stem, mask, seed, provenance) as masks/<stem>.pgm and
     list them all in out_dir/manifest.tsv; returns the number of records.
@@ -325,7 +334,7 @@ def _synthesize(
     """Sample n_total masks from mask_model with classes drawn from
     class_probs, render an image for each with args.image_model, and write the
     pairs under args.out with the manifest comment lines header."""
-    side = int(mask_meta.get("resolution", int(np.sqrt(mask_model.data_dim))))
+    side = int(mask_meta["resolution"])
     image_model = _load_renderer(args.image_model, (side, side))
     seeds = _record_seeds(args.seed, n_total)
     icfg = IntegratorConfig(method=args.method, steps=args.ode_steps, cfg_omega=args.cfg_omega)
@@ -366,8 +375,7 @@ def cmd_synthesize_indomain(args) -> int:
     if args.k < 1:
         raise DomainError(f"k must be >= 1, got {args.k}")
     n_total = args.k * args.real_count
-    mask_model, mask_meta = load_model(args.mask_model)
-    bins = _bins_from(mask_meta)
+    mask_model, mask_meta, bins = _load_mask_generator(args.mask_model)
     class_probs = np.full(bins.num_classes, 1.0 / bins.num_classes)
     header = [f"policy=indomain x={args.real_count} k={args.k} total={n_total}"]
     _synthesize(args, mask_model, mask_meta, n_total, class_probs, "indomain", header)
@@ -378,8 +386,7 @@ def cmd_synthesize_crossdomain(args) -> int:
     target_masks, _ = _load_mask_dir(args.target_masks)
     x_target = len(target_masks)
     n_total = math.ceil(args.multiplier * x_target)
-    mask_model, mask_meta = load_model(args.mask_model)
-    bins = _bins_from(mask_meta)
+    mask_model, mask_meta, bins = _load_mask_generator(args.mask_model)
     stats = mask_ops.estimate_target_stats(target_masks, args.fraction, bins, seed=args.seed)
     print(
         f"target stats from {stats.n_used}/{x_target} masks: "
@@ -459,8 +466,8 @@ def cmd_split(args) -> int:
     fractions = tuple(float(tok) for tok in args.fractions.split(","))
     if len(fractions) != 3:
         raise DomainError("fractions must be three comma-separated numbers")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise DomainError(f"fractions must sum to 1, got {sum(fractions)}")
+    if not (all(0.0 <= f <= 1.0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):
+        raise DomainError(f"fractions must lie in [0, 1] and sum to 1, got {args.fractions}")
     records, comments = read_manifest(args.manifest)
     src_dir = os.path.dirname(os.path.abspath(args.manifest))
     out_dir = os.path.dirname(os.path.abspath(args.out))

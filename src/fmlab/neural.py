@@ -487,16 +487,41 @@ def ema_update(state: TrainState) -> TrainState:
 def _train_loop(
     model: VelocityModel,
     config: TrainConfig,
-    draw_batch: Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray, np.ndarray, object]],
+    sched: PathSchedule | RectifiedSchedule,
+    x1_all: np.ndarray,
+    cond_all: np.ndarray,
+    backgrounds: np.ndarray | None,
     callback: Callable[[int, float], None] | None,
 ) -> TrainState:
+    """Train model onto sched's velocity target: both trainers' batch draw.
+
+    Each step draws, in this order: batch_size row indices into x1_all and
+    cond_all, the base batch x0 (N(0, I), or rows of backgrounds when given),
+    path noise xi ~ N(0, I), times t ~ U(0, 1) and the dropout flags, which
+    set their rows to the null condition. Path noise is drawn whether or not
+    the schedule uses it."""
     rng = np.random.default_rng(config.seed)
     state = init_train_state(model, config)
     # Adam updates the model's own parameter buffer, so no per-step copy-back.
     state.params = model._flat
+    null = model.num_classes if model.mode == CLASS_CONDITIONAL else 0.0
     for _ in range(config.steps):
-        xt, t, ut, cond = draw_batch(rng)
-        pred, cache = model._forward_batch(xt, t, cond)
+        idx = rng.integers(0, len(x1_all), config.batch_size)
+        x1 = x1_all[idx]
+        if backgrounds is None:
+            x0 = rng.standard_normal(x1.shape)
+        else:
+            x0 = backgrounds[rng.integers(0, len(backgrounds), config.batch_size)]
+        xi = rng.standard_normal(x1.shape)
+        t = rng.random(config.batch_size)
+        drop = rng.random(config.batch_size) < config.p_drop
+        if isinstance(sched, RectifiedSchedule):
+            xt, ut = rectified_interpolate(sched, x0, x1, xi, t)
+        else:
+            xt, ut = interpolate(sched, x0, x1, xi, t), target_velocity(sched, x0, x1, xi, t)
+        y = cond_all[idx]
+        y[drop] = null
+        pred, cache = model._forward_batch(xt, t, model._prepare_cond(y, len(y)))
         diff = pred - ut
         loss = float(np.mean(diff**2))
         if not np.isfinite(loss):
@@ -509,14 +534,6 @@ def _train_loop(
     return state
 
 
-def _drop_conditions(model: VelocityModel, y: np.ndarray, drop: np.ndarray):
-    """Prepared conditioning for a fresh batch y (overwritten in place) whose
-    rows flagged in drop become the null condition: the null label for class
-    models, the all-zeros mask for mask models."""
-    y[drop] = model.num_classes if model.mode == CLASS_CONDITIONAL else 0.0
-    return model._prepare_cond(y, len(y))
-
-
 def train_fm(
     model: VelocityModel,
     dataset: tuple[np.ndarray, np.ndarray],
@@ -527,34 +544,17 @@ def train_fm(
     """Flow-matching training against pairwise velocity targets.
 
     dataset is (x1, y): data rows (N, D) and per-row conditioning, integer
-    labels for class models or (N, H, W) masks for mask models. Per step the
-    loop draws a base batch x0 ~ N(0, I), times t ~ U(0,1) (one per element),
-    path noise, applies condition dropout with probability p_drop, and
-    regresses the network onto the interpolant's velocity. Deterministic for
-    a fixed config.seed.
+    labels for class models or (N, H, W) masks for mask models. The base
+    batch x0 is N(0, I), and the network regresses onto the interpolant's
+    velocity. Deterministic for a fixed config.seed.
     """
     x1_all = np.asarray(dataset[0], dtype=np.float64)
-    y_all = np.asarray(dataset[1])
     if x1_all.ndim != 2 or x1_all.shape[1] != model.data_dim:
         raise ShapeError(f"data must be (N, {model.data_dim}), got {x1_all.shape}")
-    n = x1_all.shape[0]
-    if n == 0:
+    if x1_all.shape[0] == 0:
         raise DomainError("dataset is empty")
-    cond_dtype = np.intp if model.mode == CLASS_CONDITIONAL else np.float64
-
-    def draw(rng: np.random.Generator):
-        idx = rng.integers(0, n, config.batch_size)
-        x1 = x1_all[idx]
-        x0 = rng.standard_normal(x1.shape)
-        xi = rng.standard_normal(x1.shape)
-        t = rng.random(config.batch_size)
-        drop = rng.random(config.batch_size) < config.p_drop
-        cond = _drop_conditions(model, y_all[idx].astype(cond_dtype), drop)
-        xt = interpolate(sched, x0, x1, xi, t)
-        ut = target_velocity(sched, x0, x1, xi, t)
-        return xt, t, ut, cond
-
-    return _train_loop(model, config, draw, callback)
+    y_all = np.asarray(dataset[1]).astype(np.intp if model.mode == CLASS_CONDITIONAL else np.float64)
+    return _train_loop(model, config, sched, x1_all, y_all, None, callback)
 
 
 def train_rf_injector(
@@ -568,9 +568,9 @@ def train_rf_injector(
     """Rectified-flow training that transports backgrounds onto crack images.
 
     crack_pairs is (images (N, D), masks (N, H, W)); backgrounds is (M, D).
-    Each step pairs an independent background x0 with a crack image x1 and
-    regresses onto u_t = phi'(t)(x1 - x0) along the rectified bridge, with
-    the mask as (dropout-subjected) conditioning.
+    Each step pairs an independent background x0, _train_loop's base batch,
+    with a crack image x1 and regresses onto u_t = phi'(t)(x1 - x0) along
+    the rectified bridge, with the mask as (dropout-subjected) conditioning.
     """
     images = np.asarray(crack_pairs[0], dtype=np.float64)
     mask_arr = np.asarray(crack_pairs[1], dtype=np.float64)
@@ -583,19 +583,7 @@ def train_rf_injector(
         raise DomainError("no backgrounds")
     if model.mode != MASK_CONDITIONAL:
         raise DomainError("train_rf_injector requires a mask_conditional model")
-
-    def draw(rng: np.random.Generator):
-        idx = rng.integers(0, images.shape[0], config.batch_size)
-        bg_idx = rng.integers(0, bgs.shape[0], config.batch_size)
-        x0 = bgs[bg_idx]
-        x1 = images[idx]
-        eps = rng.standard_normal(x1.shape)
-        t = rng.random(config.batch_size)
-        drop = rng.random(config.batch_size) < config.p_drop
-        xt, ut = rectified_interpolate(sched, x0, x1, eps, t)
-        return xt, t, ut, _drop_conditions(model, mask_arr[idx], drop)
-
-    return _train_loop(model, config, draw, callback)
+    return _train_loop(model, config, sched, images, mask_arr, bgs, callback)
 
 
 # -- checkpoint I/O -----------------------------------------------------------

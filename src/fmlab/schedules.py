@@ -1,14 +1,15 @@
 """Interpolant schedules, pairwise velocity targets, and guidance algebra.
 
-Samples are plain float numpy arrays; an array's own shape plays the role of
-the (values, shape) pair, so every operation here is a pure function of
-ndarrays and scalars. Time arguments may be scalars or per-sample vectors
-broadcast against a leading batch axis.
+PathSchedule (the linear path plus an optional noise bump) and
+RectifiedSchedule (the t^2 bridge) are closed forms; the tests check their
+velocities against finite differences. Samples are plain float numpy arrays;
+an array's own shape plays the role of the (values, shape) pair, so every
+operation here is a pure function of ndarrays and scalars. Time arguments
+may be scalars or per-sample vectors broadcast against a leading batch axis.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -30,21 +31,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PathSchedule:
-    """Triple (alpha, beta, g) with matching closed-form derivatives.
+    """Linear path with the endpoint-vanishing noise bump s*t*(1-t), where
+    s = noise_scale; s = 0 is the plain linear displacement path."""
 
-    Constraints: alpha(0)=1, beta(1)=1, g(0)=g(1)=0. Use the factory
-    functions below; they validate the endpoint constraints and check the
-    supplied derivatives against central finite differences so a function
-    and its derivative cannot drift apart.
-    """
-
-    alpha: Callable[[float], float]
-    beta: Callable[[float], float]
-    g: Callable[[float], float]
-    alpha_dot: Callable[[float], float]
-    beta_dot: Callable[[float], float]
-    g_dot: Callable[[float], float]
-    name: str = "custom"
+    noise_scale: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -66,64 +56,14 @@ class RectifiedSchedule:
         return 2.0 * np.asarray(t, dtype=np.float64)
 
 
-def _validate_schedule(sched: PathSchedule) -> PathSchedule:
-    for fn, t0, want, label in (
-        (sched.alpha, 0.0, 1.0, "alpha(0)"),
-        (sched.beta, 1.0, 1.0, "beta(1)"),
-        (sched.g, 0.0, 0.0, "g(0)"),
-        (sched.g, 1.0, 0.0, "g(1)"),
-    ):
-        got = float(fn(t0))
-        if abs(got - want) > 1e-12:
-            raise DomainError(f"schedule endpoint violated: {label}={got}, expected {want}")
-    # Derivatives must agree with central differences of their functions.
-    h = 1e-6
-    ts = np.linspace(h, 1.0 - h, 100)
-    for fn, dfn, label in (
-        (sched.alpha, sched.alpha_dot, "alpha"),
-        (sched.beta, sched.beta_dot, "beta"),
-        (sched.g, sched.g_dot, "g"),
-    ):
-        for t in ts:
-            fd = (float(fn(t + h)) - float(fn(t - h))) / (2 * h)
-            an = float(dfn(t))
-            if abs(an - fd) > 1e-5 * max(1.0, abs(fd)):
-                raise DomainError(
-                    f"schedule derivative mismatch for {label} at t={t}: "
-                    f"analytic {an} vs finite difference {fd}"
-                )
-    return sched
-
-
 def linear_schedule() -> PathSchedule:
     """Linear displacement path: alpha=1-t, beta=t, no noise."""
-    return _validate_schedule(
-        PathSchedule(
-            alpha=lambda t: 1.0 - t,
-            beta=lambda t: t,
-            g=lambda t: 0.0 * t,
-            alpha_dot=lambda t: -1.0 + 0.0 * t,
-            beta_dot=lambda t: 1.0 + 0.0 * t,
-            g_dot=lambda t: 0.0 * t,
-            name="linear",
-        )
-    )
+    return PathSchedule()
 
 
 def noisy_linear_schedule(noise_scale: float = 1.0) -> PathSchedule:
     """Linear path with an endpoint-vanishing noise bump g(t) = s*t*(1-t)."""
-    s = float(noise_scale)
-    return _validate_schedule(
-        PathSchedule(
-            alpha=lambda t: 1.0 - t,
-            beta=lambda t: t,
-            g=lambda t: s * t * (1.0 - t),
-            alpha_dot=lambda t: -1.0 + 0.0 * t,
-            beta_dot=lambda t: 1.0 + 0.0 * t,
-            g_dot=lambda t: s * (1.0 - 2.0 * t),
-            name="stochastic",
-        )
-    )
+    return PathSchedule(float(noise_scale))
 
 
 def rectified_schedule(sigma: float = 0.0) -> RectifiedSchedule:
@@ -156,23 +96,19 @@ def _time_factor(value, x: np.ndarray) -> np.ndarray:
 
 
 def interpolate(sched: PathSchedule, x0, x1, xi, t):
-    """State on the path: alpha(t)*x0 + beta(t)*x1 + g(t)*xi."""
+    """State on the path: (1-t)*x0 + t*x1 + s*t*(1-t)*xi."""
     x0, x1, xi = _check_same_shape(x0, x1, xi)
     t = _check_t(t)
-    a = _time_factor(sched.alpha(t), x0)
-    b = _time_factor(sched.beta(t), x0)
-    c = _time_factor(sched.g(t), x0)
-    return a * x0 + b * x1 + c * xi
+    c = _time_factor(sched.noise_scale * t * (1.0 - t), x0)
+    return _time_factor(1.0 - t, x0) * x0 + _time_factor(t, x0) * x1 + c * xi
 
 
 def target_velocity(sched: PathSchedule, x0, x1, xi, t):
-    """Pairwise regression target: the time derivative of the interpolant."""
+    """Pairwise regression target, the time derivative of the interpolant:
+    x1 - x0 + s*(1-2t)*xi."""
     x0, x1, xi = _check_same_shape(x0, x1, xi)
     t = _check_t(t)
-    a = _time_factor(sched.alpha_dot(t), x0)
-    b = _time_factor(sched.beta_dot(t), x0)
-    c = _time_factor(sched.g_dot(t), x0)
-    return a * x0 + b * x1 + c * xi
+    return x1 - x0 + _time_factor(sched.noise_scale * (1.0 - 2.0 * t), x0) * xi
 
 
 def fm_loss(predicted, target) -> float:

@@ -438,6 +438,32 @@ def test_synthesize_and_inject_reject_a_class_conditional_renderer(
 
 
 @pytest.mark.parametrize(
+    "command",
+    ["synthesize-indomain --real-count 2", "synthesize-crossdomain --target-masks {ws}/masks"],
+)
+@pytest.mark.parametrize("mask_model", ["two_gaussians", "render.fmck"])
+def test_synthesize_rejects_a_mask_model_that_is_not_a_mask_generator(
+    workspace, tmp_path, capsys, monkeypatch, command, mask_model
+):
+    path = workspace / mask_model
+    if mask_model == "two_gaussians":
+        path = tmp_path / "tg.fmck"
+        cfg = write_config(
+            tmp_path / "tg.cfg", task="two_gaussians", steps=1, batch=4, width=8,
+            time_embed_dim=4, n_per_class=4,
+        )
+        assert main(["train", "--config", cfg, "--out", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_load_renderer", lambda *a: pytest.fail("the renderer was loaded"))
+    out = tmp_path / "out"
+    argv = command.format(ws=workspace).split() + ["--mask-model", str(path)]
+    argv += ["--image-model", str(workspace / "render.fmck"), "--ode-steps", "2", "--out", str(out)]
+    assert main(argv) == 2
+    assert f"--mask-model {path}: need task=mask_generator" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command, output",
     [
         ("propagate --masks {ws}/masks --image-model {ws}/render.fmck --ode-steps 2", "out"),
@@ -611,6 +637,16 @@ def test_split_rejects_bad_fractions(tmp_path, capsys):
         == 2
     )
     assert "sum to 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fractions", ["1.5,-0.25,-0.25", "nan,0.5,0.5", "-0.0001,0.5,0.5001"])
+def test_split_rejects_fractions_outside_the_unit_interval(tmp_path, capsys, monkeypatch, fractions):
+    path = _manifest_with(tmp_path, 4)
+    monkeypatch.setattr(cli, "read_manifest", lambda *a: pytest.fail("the manifest was read"))
+    out = tmp_path / "o.tsv"
+    assert main(["split", "--manifest", str(path), f"--fractions={fractions}", "--out", str(out)]) == 2
+    assert f"fractions must lie in [0, 1] and sum to 1, got {fractions}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- evaluate -----------------------------------------------------------------------

@@ -461,6 +461,68 @@ def test_train_fm_loss_decreases_on_fixed_task():
     assert np.mean(losses[-10:]) < np.mean(losses[:10])
 
 
+def _first_forward_batch(monkeypatch, train):
+    """The x, t and prepared condition of the first _forward_batch call that
+    train() makes."""
+    seen = []
+    original = VelocityModel._forward_batch
+
+    def spy(self, x, t, cond, **kwargs):
+        seen.append((x.copy(), t.copy(), np.array(cond)))
+        return original(self, x, t, cond, **kwargs)
+
+    monkeypatch.setattr(VelocityModel, "_forward_batch", spy)
+    train()
+    return seen[0]
+
+
+def test_train_fm_draws_its_batch_in_the_documented_order(monkeypatch):
+    # Row indices, base batch x0, path noise xi, t, dropout flags. The linear
+    # path ignores xi, but t comes after it in the stream.
+    x1_all, labels = toys.two_gaussians(10, seed=0)
+    model = VelocityModel(data_dim=2, num_classes=2, width=8, seed=1)
+    config = TrainConfig(steps=1, batch_size=8, p_drop=0.5, seed=3)
+    xt, t, cond = _first_forward_batch(
+        monkeypatch, lambda: train_fm(model, (x1_all, labels), linear_schedule(), config)
+    )
+    rng = np.random.default_rng(3)
+    idx = rng.integers(0, len(x1_all), 8)
+    x0 = rng.standard_normal((8, 2))
+    rng.standard_normal((8, 2))
+    want_t = rng.random(8)
+    drop = rng.random(8) < 0.5
+    assert drop.any() and not drop.all()
+    assert np.array_equal(t, want_t)
+    assert np.array_equal(xt, (1.0 - want_t)[:, None] * x0 + want_t[:, None] * x1_all[idx])
+    assert np.array_equal(cond, np.where(drop, 2, labels[idx]))
+
+
+def test_train_rf_injector_draws_its_batch_in_the_documented_order(monkeypatch):
+    # Row indices, background rows as the base batch, bridge noise, t,
+    # dropout flags.
+    images, masks, backgrounds = toys.dark_line_task(n_pairs=6, n_backgrounds=4, side=4, seed=7)
+    model = VelocityModel(data_dim=16, mode=MASK_CONDITIONAL, mask_shape=(4, 4), width=8, seed=2)
+    config = TrainConfig(steps=1, batch_size=8, p_drop=0.5, seed=5)
+    xt, t, cond = _first_forward_batch(
+        monkeypatch,
+        lambda: train_rf_injector(model, (images, masks), backgrounds, rectified_schedule(0.5), config),
+    )
+    rng = np.random.default_rng(5)
+    idx = rng.integers(0, len(images), 8)
+    x0 = backgrounds[rng.integers(0, len(backgrounds), 8)]
+    eps = rng.standard_normal((8, 16))
+    want_t = rng.random(8)
+    drop = rng.random(8) < 0.5
+    assert drop.any() and not drop.all()
+    phi = want_t**2
+    p = phi[:, None]
+    want_xt = (1.0 - p) * x0 + p * images[idx] + (0.5 * np.sqrt(phi * (1.0 - phi)))[:, None] * eps
+    assert np.array_equal(t, want_t)
+    assert np.array_equal(xt, want_xt)
+    flat = np.where(drop[:, None], 0.0, masks[idx].reshape(8, 16))
+    assert np.array_equal(cond, np.concatenate([flat, 1.0 - flat], axis=1))
+
+
 @pytest.mark.parametrize("p_drop", [-0.1, 1.5, float("nan")])
 def test_train_config_rejects_p_drop_outside_unit_interval(p_drop):
     with pytest.raises(DomainError, match="p_drop"):

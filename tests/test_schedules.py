@@ -3,8 +3,6 @@ import pytest
 
 from fmlab.errors import DomainError, ShapeError
 from fmlab.schedules import (
-    PathSchedule,
-    _validate_schedule,
     cfg_combine,
     fm_loss,
     interpolate,
@@ -184,30 +182,6 @@ def test_cfg_combine_is_affine():
     lhs = cfg_combine(a + c, b + d, omega)
     rhs = cfg_combine(a, b, omega) + cfg_combine(c, d, omega)
     assert np.allclose(lhs, rhs)
-
-
-
-def test_schedule_factory_validation_catches_drift():
-    bad_endpoint = PathSchedule(
-        alpha=lambda t: 0.5 - t,  # alpha(0) != 1
-        beta=lambda t: t,
-        g=lambda t: 0.0 * t,
-        alpha_dot=lambda t: -1.0 + 0.0 * t,
-        beta_dot=lambda t: 1.0 + 0.0 * t,
-        g_dot=lambda t: 0.0 * t,
-    )
-    with pytest.raises(DomainError):
-        _validate_schedule(bad_endpoint)
-    bad_derivative = PathSchedule(
-        alpha=lambda t: 1.0 - t,
-        beta=lambda t: t,
-        g=lambda t: 0.0 * t,
-        alpha_dot=lambda t: -2.0 + 0.0 * t,  # drifted derivative
-        beta_dot=lambda t: 1.0 + 0.0 * t,
-        g_dot=lambda t: 0.0 * t,
-    )
-    with pytest.raises(DomainError):
-        _validate_schedule(bad_derivative)
 
 
 def test_batched_time_broadcasting():
