@@ -10,9 +10,9 @@ mismatch.
 
 Every command solves its ODE rows through _solve_rows, in batched calls of
 at most _SOLVE_ROWS rows, so a command's cost scales with rows x steps and
-its solver memory does not grow with the number of pairs it writes. Each
-model that renders masks is loaded and checked by _load_renderer, and each
---mask-model by _load_mask_generator.
+its solver memory does not grow with the number of pairs it writes. Every
+model flag is loaded through _load_task, which requires the .meta task that
+the flag needs and, where the masks are known, their shape.
 
 Outputs other than rasters are built whole, then replaced in one step by
 _files.write_file. _write_records checks every record before any image
@@ -111,11 +111,14 @@ def load_model(checkpoint_path) -> tuple[VelocityModel, dict[str, str]]:
     if not os.path.exists(meta_path):
         raise DomainError(f"missing checkpoint metadata {meta_path}")
     meta = parse_config(meta_path)
-    mask_shape = None
-    if "mask_height" in meta:
-        mask_shape = (int(meta["mask_height"]), int(meta["mask_width"]))
-    sizes = {key: int(meta[key]) for key in _ARCH_KEYS[1:]}
-    model = VelocityModel(mode=meta["mode"], mask_shape=mask_shape, **sizes)
+    try:
+        mask_shape = None
+        if "mask_height" in meta:
+            mask_shape = (int(meta["mask_height"]), int(meta["mask_width"]))
+        sizes = {key: int(meta[key]) for key in _ARCH_KEYS[1:]}
+        model = VelocityModel(mode=meta["mode"], mask_shape=mask_shape, **sizes)
+    except KeyError as exc:
+        raise DomainError(f"{meta_path} has no key {exc}") from None
     _, ema = load_checkpoint(checkpoint_path)
     model.set_params(ema)
     return model, meta
@@ -124,11 +127,11 @@ def load_model(checkpoint_path) -> tuple[VelocityModel, dict[str, str]]:
 # -- shared helpers -------------------------------------------------------------
 
 
-def _sorted_files(directory, suffixes=(".pgm",)) -> list[Path]:
+def _sorted_files(directory) -> list[Path]:
     d = Path(directory)
     if not d.is_dir():
         raise DomainError(f"not a directory: {directory}")
-    files = sorted(p for p in d.iterdir() if p.suffix in suffixes)
+    files = sorted(p for p in d.iterdir() if p.suffix == ".pgm")
     if not files:
         raise DomainError(f"no raster files in {directory}")
     return files
@@ -163,22 +166,15 @@ def _solve_rows(solve, model: VelocityModel, x0: np.ndarray, cond, icfg) -> np.n
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def _load_renderer(path, mask_shape=None) -> VelocityModel:
-    """Load the model at path and require it to be mask-conditional and,
-    when mask_shape is given, to take masks of that shape."""
-    model, _ = load_model(path)
-    if model.mode != MASK_CONDITIONAL or mask_shape not in (None, model.mask_shape):
-        got = f"got {model.mode} with mask shape {model.mask_shape}"
-        raise DomainError(f"{path}: need mask_conditional for {mask_shape or 'any'} masks, {got}")
-    return model
-
-
-def _load_mask_generator(path) -> tuple[VelocityModel, dict[str, str], mask_ops.CoverageBinning]:
-    """Model, .meta and coverage bins at path; the .meta must say task=mask_generator."""
+def _load_task(flag: str, path, task: str, mask_shape=None) -> tuple[VelocityModel, dict]:
+    """Model and .meta at path, given by flag. The .meta must name task (and
+    its training mode) and, when mask_shape is given, masks of that shape."""
     model, meta = load_model(path)
-    if meta.get("task") != "mask_generator":
-        raise DomainError(f"--mask-model {path}: need task=mask_generator, got task={meta.get('task')}")
-    return model, meta, _bins_from(meta)
+    if meta.get("task") != task or model.mode != _TASKS[task][0]:
+        raise DomainError(f"{flag} {path}: need task={task}, got task={meta.get('task')}")
+    if mask_shape not in (None, model.mask_shape):
+        raise DomainError(f"{flag} {path}: need {mask_shape} masks, got {model.mask_shape}")
+    return model, meta
 
 
 def _write_records(out_dir: Path, rows, strategy: str, bins, comments, render=None) -> int:
@@ -335,7 +331,7 @@ def _synthesize(
     class_probs, render an image for each with args.image_model, and write the
     pairs under args.out with the manifest comment lines header."""
     side = int(mask_meta["resolution"])
-    image_model = _load_renderer(args.image_model, (side, side))
+    image_model, _ = _load_task("--image-model", args.image_model, "image_renderer", (side, side))
     seeds = _record_seeds(args.seed, n_total)
     icfg = IntegratorConfig(method=args.method, steps=args.ode_steps, cfg_omega=args.cfg_omega)
 
@@ -372,21 +368,24 @@ def _synthesize(
 
 
 def cmd_synthesize_indomain(args) -> int:
-    if args.k < 1:
-        raise DomainError(f"k must be >= 1, got {args.k}")
+    if args.k < 1 or args.real_count < 0:
+        raise DomainError(f"need k >= 1 and real-count >= 0, got {args.k} and {args.real_count}")
     n_total = args.k * args.real_count
-    mask_model, mask_meta, bins = _load_mask_generator(args.mask_model)
-    class_probs = np.full(bins.num_classes, 1.0 / bins.num_classes)
+    mask_model, mask_meta = _load_task("--mask-model", args.mask_model, "mask_generator")
+    class_probs = np.full(mask_model.num_classes, 1.0 / mask_model.num_classes)
     header = [f"policy=indomain x={args.real_count} k={args.k} total={n_total}"]
     _synthesize(args, mask_model, mask_meta, n_total, class_probs, "indomain", header)
     return EXIT_OK
 
 
 def cmd_synthesize_crossdomain(args) -> int:
+    if not 0.0 <= args.multiplier < math.inf:
+        raise DomainError(f"multiplier must be finite and >= 0, got {args.multiplier}")
     target_masks, _ = _load_mask_dir(args.target_masks)
     x_target = len(target_masks)
     n_total = math.ceil(args.multiplier * x_target)
-    mask_model, mask_meta, bins = _load_mask_generator(args.mask_model)
+    mask_model, mask_meta = _load_task("--mask-model", args.mask_model, "mask_generator")
+    bins = _bins_from(mask_meta)
     stats = mask_ops.estimate_target_stats(target_masks, args.fraction, bins, seed=args.seed)
     print(
         f"target stats from {stats.n_used}/{x_target} masks: "
@@ -407,8 +406,8 @@ def cmd_synthesize_crossdomain(args) -> int:
 
 
 def cmd_inject(args) -> int:
-    model = _load_renderer(args.model)
-    bg_files = _sorted_files(args.backgrounds, suffixes=(".pgm", ".ppm"))
+    model, _ = _load_task("--model", args.model, "injector")
+    bg_files = _sorted_files(args.backgrounds)
     mask_files = _sorted_files(args.masks)
     notes = []
     if args.pairing == "cartesian":
@@ -548,7 +547,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_propagate(args) -> int:
     mask_list, files = _load_mask_dir(args.masks)
-    image_model = _load_renderer(args.image_model, mask_list[0].shape) if args.image_model else None
+    if args.image_model:
+        shape = mask_list[0].shape
+        image_model, _ = _load_task("--image-model", args.image_model, "image_renderer", shape)
     preserve = not args.allow_topology_change
 
     rows, render_seeds, skipped = [], [], []
@@ -572,7 +573,7 @@ def cmd_propagate(args) -> int:
             rows.append((f"prop_{i:04d}_{j}", variant.mask, args.seed + i, provenance))
 
     render = None
-    if image_model is not None:
+    if args.image_model:
         # Each variant renders from its own record seed.
         dim = image_model.data_dim
         x0 = np.array([np.random.default_rng(int(s)).standard_normal(dim) for s in render_seeds])

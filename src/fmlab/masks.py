@@ -64,8 +64,9 @@ class CoverageBinning:
         e = np.asarray(self.edges, dtype=np.float64)
         if e.ndim != 1 or len(e) < 2:
             raise DomainError("need at least two edges")
-        if e[0] < 0.0 or e[-1] > 1.0 or np.any(np.diff(e) <= 0):
-            raise DomainError(f"edges must be strictly increasing within [0,1], got {self.edges}")
+        # Negated, so that a NaN edge fails the check like an infinite one.
+        if not (e[0] >= 0.0 and e[-1] <= 1.0 and np.all(np.diff(e) > 0)):
+            raise DomainError(f"edges must be strictly increasing within [0,1], got {e.tolist()}")
         object.__setattr__(self, "edges", tuple(float(v) for v in e))
 
     @property

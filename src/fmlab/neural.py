@@ -600,20 +600,20 @@ def save_checkpoint(path, params: np.ndarray, ema_params: np.ndarray) -> None:
 
 
 def load_checkpoint(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a checkpoint back as (params, ema_params)."""
+    """Read a checkpoint back as (params, ema_params). A file cut or padded
+    anywhere raises DomainError."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise DomainError(f"bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise DomainError(f"unsupported checkpoint version {version}")
-        (count,) = struct.unpack("<Q", fh.read(8))
-        raw = fh.read(16 * count)
-        if len(raw) != 16 * count:
-            raise DomainError("checkpoint truncated")
-        if fh.read(1):
-            raise DomainError("trailing bytes after checkpoint data")
-    params = np.frombuffer(raw[: 8 * count], dtype="<f8").copy()
-    ema = np.frombuffer(raw[8 * count :], dtype="<f8").copy()
-    return params, ema
+        blob = fh.read()
+    if blob[:4] != CHECKPOINT_MAGIC:
+        raise DomainError(f"bad checkpoint magic {blob[:4]!r}")
+    if len(blob) < 16:
+        raise DomainError("checkpoint header truncated")
+    version, count = struct.unpack_from("<IQ", blob, 4)
+    if version != CHECKPOINT_VERSION:
+        raise DomainError(f"unsupported checkpoint version {version}")
+    if len(blob) < 16 + 16 * count:
+        raise DomainError("checkpoint truncated")
+    if len(blob) > 16 + 16 * count:
+        raise DomainError("trailing bytes after checkpoint data")
+    params, ema = np.frombuffer(blob, dtype="<f8", offset=16).reshape(2, count)
+    return params.copy(), ema.copy()

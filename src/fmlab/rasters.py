@@ -4,9 +4,13 @@ Masks are stored as 0/255 PGM and thresholded at 128 on load; images travel
 as float rasters in [0,1], quantized to 8 bits on save. Grayscale images use
 PGM, 3-channel images PPM. Files are written with maxval 255; a file with a
 smaller maxval is rescaled to the 0-255 scale on load, so a mask thresholds
-at the midpoint of its maxval. Bytes after the pixel data are an error.
+at the midpoint of its maxval. A file is read in one call; after its magic,
+width, height and maxval (unsigned decimals) each follow whitespace or '#'
+comments to the end of the line, and one whitespace byte ends the header.
 """
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -24,44 +28,30 @@ __all__ = [
 ]
 
 
-def _read_header(fh, magic: bytes) -> tuple[int, int, int]:
-    if fh.read(2) != magic:
-        raise DomainError(f"not a {magic.decode()} file")
-    fields: list[int] = []
-    while len(fields) < 3:
-        tok = b""
-        ch = fh.read(1)
-        while ch.isspace():
-            ch = fh.read(1)
-        if ch == b"#":
-            fh.readline()
-            continue
-        while ch and not ch.isspace():
-            tok += ch
-            ch = fh.read(1)
-        if not tok:
-            raise DomainError("truncated raster header")
-        fields.append(int(tok))
-    width, height, maxval = fields
-    if maxval < 1 or maxval > 255:
-        raise DomainError(f"unsupported maxval {maxval}")
-    return width, height, maxval
+_SEP = rb"(?:\s|#[^\n]*\n)+"
+_HEADER = re.compile(rb"%s(\d+)%s(\d+)%s(\d+)\s" % (_SEP, _SEP, _SEP))
 
 
 def _load_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
     """Read a binary P5/P6 raster as (H, W, channels) uint8 on the 0-255
-    scale: a pixel v under maxval m reads as round(v * 255 / m). Missing or
-    trailing pixel bytes raise DomainError."""
+    scale: a pixel v under maxval m reads as round(v * 255 / m). A malformed
+    header, missing or trailing pixel bytes raise DomainError."""
     with open(path, "rb") as fh:
-        width, height, maxval = _read_header(fh, magic)
-        size = width * height * channels
-        data = fh.read(size)
-        trailing = fh.read(1)
-    if len(data) != size:
+        data = fh.read()
+    if data[:2] != magic:
+        raise DomainError(f"not a {magic.decode()} file")
+    header = _HEADER.match(data, 2)
+    if header is None:
+        raise DomainError(f"malformed or truncated raster header in {path}")
+    width, height, maxval = map(int, header.groups())
+    if maxval < 1 or maxval > 255:
+        raise DomainError(f"unsupported maxval {maxval}")
+    size = width * height * channels
+    if len(data) - header.end() < size:
         raise DomainError(f"truncated pixel data in {path}")
-    if trailing:
+    if len(data) - header.end() > size:
         raise DomainError(f"trailing bytes after pixel data in {path}")
-    raster = np.frombuffer(data, dtype=np.uint8).reshape(height, width, channels)
+    raster = np.frombuffer(data, np.uint8, size, header.end()).reshape(height, width, channels)
     if maxval == 255:
         return raster.copy()
     if raster.max(initial=0) > maxval:

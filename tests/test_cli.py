@@ -189,6 +189,16 @@ def test_train_missing_data_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+
+def test_train_rejects_a_nan_max_coverage(workspace, tmp_path, capsys):
+    cfg = write_config(
+        tmp_path / "nan.cfg", task="mask_generator", data_masks=workspace / "masks", steps=1,
+        batch=4, width=8, time_embed_dim=4, resolution=8, max_coverage="nan",
+    )
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "x.fmck")]) == 2
+    assert "edges must be strictly increasing within [0,1]" in capsys.readouterr().err
+    assert not (tmp_path / "x.fmck").exists()
+
 # -- synthesize --------------------------------------------------------------------
 
 
@@ -342,6 +352,28 @@ def test_synthesize_crossdomain_counts_and_stats_header(workspace, tmp_path):
     validate_manifest(out / "manifest.tsv")
 
 
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "synthesize-crossdomain --target-masks {ws}/masks --multiplier inf",
+        "synthesize-crossdomain --target-masks {ws}/masks --multiplier nan",
+        "synthesize-crossdomain --target-masks {ws}/masks --multiplier -1",
+        "synthesize-indomain --real-count -2",
+    ],
+)
+def test_synthesize_rejects_a_bad_count_before_reading_a_file(
+    workspace, tmp_path, capsys, monkeypatch, command
+):
+    monkeypatch.setattr(cli, "load_model", lambda *a: pytest.fail("a model was loaded"))
+    monkeypatch.setattr(rasters, "load_pgm", lambda *a: pytest.fail("a raster was read"))
+    out = tmp_path / "out"
+    argv = command.format(ws=workspace).split() + ["--mask-model", str(workspace / "mask.fmck")]
+    argv += ["--image-model", str(workspace / "render.fmck"), "--ode-steps", "2", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(("error: multiplier must", "error: need k >= 1"))
+    assert not out.exists()
+
 # -- inject -------------------------------------------------------------------------
 
 
@@ -433,7 +465,11 @@ def test_synthesize_and_inject_reject_a_class_conditional_renderer(
     out = tmp_path / "out"
     argv = command.format(ws=workspace).split() + ["--ode-steps", "2", "--out", str(out)]
     assert main(argv) == 2
-    assert "need mask_conditional for " in capsys.readouterr().err
+    flag, task = ("--image-model", "image_renderer")
+    if command.startswith("inject"):
+        flag, task = ("--model", "injector")
+    err = capsys.readouterr().err
+    assert f"{flag} {workspace}/mask.fmck: need task={task}, got task=mask_generator" in err
     assert not out.exists()
 
 
@@ -454,7 +490,13 @@ def test_synthesize_rejects_a_mask_model_that_is_not_a_mask_generator(
         )
         assert main(["train", "--config", cfg, "--out", str(path)]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(cli, "_load_renderer", lambda *a: pytest.fail("the renderer was loaded"))
+    load_task = cli._load_task
+
+    def load_mask_model_only(flag, *rest):
+        assert flag == "--mask-model", "the renderer was loaded"
+        return load_task(flag, *rest)
+
+    monkeypatch.setattr(cli, "_load_task", load_mask_model_only)
     out = tmp_path / "out"
     argv = command.format(ws=workspace).split() + ["--mask-model", str(path)]
     argv += ["--image-model", str(workspace / "render.fmck"), "--ode-steps", "2", "--out", str(out)]
@@ -462,6 +504,118 @@ def test_synthesize_rejects_a_mask_model_that_is_not_a_mask_generator(
     assert f"--mask-model {path}: need task=mask_generator" in capsys.readouterr().err
     assert not out.exists()
 
+
+@pytest.mark.parametrize(
+    "command, flag, model",
+    [
+        ("synthesize-indomain --real-count 2", "--image-model", "inject"),
+        ("synthesize-crossdomain --target-masks {ws}/masks", "--image-model", "inject"),
+        ("propagate --masks {ws}/masks", "--image-model", "inject"),
+        ("inject --backgrounds {ws}/backgrounds --masks {ws}/masks", "--model", "render"),
+    ],
+)
+def test_a_renderer_and_an_injector_cannot_stand_in_for_each_other(
+    workspace, tmp_path, capsys, command, flag, model
+):
+    path = workspace / f"{model}.fmck"
+    out = tmp_path / "out"
+    argv = command.format(ws=workspace).split() + [flag, str(path)]
+    if command.startswith("synthesize"):
+        argv += ["--mask-model", str(workspace / "mask.fmck")]
+    assert main(argv + ["--ode-steps", "2", "--out", str(out)]) == 2
+    need, got = ("injector", "image_renderer")
+    if model == "inject":
+        need, got = got, need
+    assert f"{flag} {path}: need task={need}, got task={got}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_checkpoint_cut_anywhere_in_its_header_exits_2(workspace, tmp_path, capsys):
+    blob = (workspace / "render.fmck").read_bytes()
+    cut = tmp_path / "cut.fmck"
+    (tmp_path / "cut.fmck.meta").write_bytes((workspace / "render.fmck.meta").read_bytes())
+    out = tmp_path / "out"
+    argv = ["propagate", "--masks", str(workspace / "masks"), "--image-model", str(cut)]
+    for length in range(4, 16):
+        cut.write_bytes(blob[:length])
+        assert main(argv + ["--ode-steps", "2", "--out", str(out)]) == 2
+        assert "error: checkpoint header truncated" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["width", "mode", "mask_width"])
+def test_load_model_names_the_meta_and_its_missing_key(workspace, tmp_path, capsys, key):
+    ckpt = tmp_path / "m.fmck"
+    ckpt.write_bytes((workspace / "render.fmck").read_bytes())
+    lines = (workspace / "render.fmck.meta").read_text().splitlines(keepends=True)
+    (tmp_path / "m.fmck.meta").write_text("".join(l for l in lines if not l.startswith(key + "=")))
+    out = tmp_path / "out"
+    argv = ["propagate", "--masks", str(workspace / "masks"), "--image-model", str(ckpt)]
+    assert main(argv + ["--ode-steps", "2", "--out", str(out)]) == 2
+    assert f"error: {ckpt}.meta has no key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Each float flag a command takes, with the rest of a command line that works;
+# synthesize-* also get both models.
+_FLOAT_FLAGS = [
+    ("synthesize-indomain --real-count 2 --k 2", "--cfg-omega"),
+    ("synthesize-crossdomain --target-masks {ws}/masks", "--multiplier"),
+    ("synthesize-crossdomain --target-masks {ws}/masks", "--fraction"),
+    ("synthesize-crossdomain --target-masks {ws}/masks", "--cfg-omega"),
+    (
+        "inject --model {ws}/inject.fmck --backgrounds {ws}/backgrounds --masks {ws}/masks",
+        "--max-coverage",
+    ),
+    ("propagate --masks {ws}/masks --k 1", "--max-coverage"),
+    ("stats --masks {ws}/masks", "--max-coverage"),
+    ("evaluate --pred {ws}/masks --gt {ws}/masks", "--threshold"),
+]
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("command, flag", _FLOAT_FLAGS)
+def test_float_flags_never_raise_out_of_main(workspace, tmp_path, command, flag, value):
+    argv = command.format(ws=workspace).split() + [flag, value, "--out", str(tmp_path / "out")]
+    if command.startswith("synthesize"):
+        argv += ["--mask-model", str(workspace / "mask.fmck")]
+        argv += ["--image-model", str(workspace / "render.fmck")]
+    if not command.startswith(("stats", "evaluate")):
+        argv += ["--ode-steps", "2"]
+    assert main(argv) in (0, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "stats --masks {ws}/masks",
+        "propagate --masks {ws}/masks --k 1",
+        "inject --model {ws}/inject.fmck --backgrounds {ws}/backgrounds --masks {ws}/masks",
+    ],
+)
+def test_a_nan_max_coverage_exits_2(workspace, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = command.format(ws=workspace).split() + ["--max-coverage", "nan", "--out", str(out)]
+    assert main(argv) == 2
+    assert "edges must be strictly increasing within [0,1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_inject_lists_pgm_backgrounds_only(workspace, tmp_path, capsys):
+    bgs = tmp_path / "bgs"
+    bgs.mkdir()
+    save_image(bgs / "c.ppm", np.full((8, 8, 3), 0.75))
+    out = tmp_path / "out"
+    argv = ["inject", "--model", str(workspace / "inject.fmck"), "--backgrounds", str(bgs)]
+    argv += ["--masks", str(workspace / "masks"), "--ode-steps", "2", "--out", str(out)]
+    assert main(argv) == 2
+    assert f"error: no raster files in {bgs}" in capsys.readouterr().err
+    assert not out.exists()
+    save_image(bgs / "b.pgm", np.full((8, 8), 0.75))
+    assert main(argv) == 0
+    records, comments = read_manifest(out / "manifest.tsv")
+    assert [r.provenance for r in records] == ["inject;background=b.pgm;mask=s00.pgm"]
+    assert not any("c.ppm" in c for c in comments)
 
 @pytest.mark.parametrize(
     "command, output",
@@ -947,7 +1101,10 @@ def test_propagate_rejects_a_renderer_for_other_masks(
     argv = ["propagate", "--masks", str(src), "--image-model", str(workspace / model)]
     assert main(argv + ["--ode-steps", "2", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"need mask_conditional for ({masks_side}, {masks_side}) masks" in err
+    if model == "mask.fmck":
+        assert "need task=image_renderer, got task=mask_generator" in err
+    else:
+        assert f"need ({masks_side}, {masks_side}) masks, got (8, 8)" in err
     assert not out.exists()
 
 

@@ -166,6 +166,62 @@ def test_trailing_bytes_after_pixels_are_rejected(tmp_path, suffix, raster):
         load(path)
 
 
+
+@pytest.mark.parametrize(
+    "header, ok",
+    [
+        (b"P5\n3#c\n1\n255\n", True),  # a comment right after a number
+        (b"P5\t3\r\n# x\r\n\x0b1\x0c255 ", True),  # every whitespace byte, CRLF comments
+        (b"P5\n+3 1\n255\n", False),  # a signed number
+        (b"P5\n3 1\n255", False),  # no whitespace byte after maxval
+        (b"P53 1\n255\n", False),  # no separator after the magic
+        (b"P5\n3 1 # c\n255\n", True),
+        (b"P5\n3 1\n255#c\n", False),  # one whitespace byte must end maxval
+        (b"P5\n# never ends", False),
+    ],
+)
+def test_header_grammar(tmp_path, header, ok):
+    path = tmp_path / "h.pgm"
+    path.write_bytes(header + bytes([10, 32, 9]))
+    if ok:
+        assert load_pgm(path).tolist() == [[10, 32, 9]]
+    else:
+        with pytest.raises(DomainError):
+            load_pgm(path)
+
+
+_SEPARATOR = st.lists(
+    st.one_of(
+        st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]),
+        st.binary(max_size=6).filter(lambda b: b"\n" not in b).map(lambda b: b"#" + b + b"\n"),
+    ),
+    min_size=1,
+    max_size=4,
+).map(b"".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seps=st.tuples(_SEPARATOR, _SEPARATOR, _SEPARATOR),
+    end=st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"]),
+    h=st.integers(1, 3),
+    w=st.integers(1, 3),
+    pixels=st.binary(min_size=27, max_size=27),
+    channels=st.sampled_from([1, 3]),
+)
+def test_any_separator_reads_the_same_raster(tmp_path_factory, seps, end, h, w, pixels, channels):
+    # Whitespace and comments between the fields never change the pixels,
+    # and only one whitespace byte ends the header, whatever the pixels start with.
+    magic, load = (b"P6", load_ppm) if channels == 3 else (b"P5", load_pgm)
+    data = pixels[: h * w * channels]
+    fields = (b"%d" % w, b"%d" % h, b"255")
+    header = magic + b"".join(sep + field for sep, field in zip(seps, fields)) + end
+    path = tmp_path_factory.getbasetemp() / "sep.pnm"
+    path.write_bytes(header + data)
+    raster = load(path)
+    assert raster.shape[:2] == (h, w)
+    assert raster.tobytes() == data
+
 # -- manifest -----------------------------------------------------------------
 
 

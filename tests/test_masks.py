@@ -87,6 +87,20 @@ def test_binning_validation():
     assert uniform_bins(4, 0.75).num_classes == 4
 
 
+@pytest.mark.parametrize(
+    "edges", [(0.0, np.nan, 1.0), (0.0, 0.5, np.inf), (np.nan, 0.5), (-np.inf, 0.5)]
+)
+def test_binning_rejects_non_finite_edges(edges):
+    with pytest.raises(DomainError):
+        CoverageBinning(edges=edges)
+
+
+@pytest.mark.parametrize("max_coverage", [np.nan, np.inf])
+def test_uniform_bins_rejects_a_non_finite_max_coverage(max_coverage):
+    with pytest.raises(DomainError):
+        uniform_bins(3, max_coverage)
+
+
 def test_assign_class_stable_under_transposition():
     rng = np.random.default_rng(0)
     bins = uniform_bins(5, 0.5)

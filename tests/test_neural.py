@@ -687,6 +687,17 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
         load_checkpoint(padded)
 
 
+
+def test_checkpoint_cut_anywhere_raises_domain_error(tmp_path):
+    path = tmp_path / "model.fmck"
+    save_checkpoint(path, np.zeros(4), np.zeros(4))
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.fmck"
+    for length in range(len(blob)):
+        cut.write_bytes(blob[:length])
+        with pytest.raises(DomainError):
+            load_checkpoint(cut)
+
 # float64 bit patterns: any pattern at all, plus the floats hypothesis favours
 # (NaN, both infinities, subnormals, -0.0).
 _FLOAT64_BITS = st.one_of(
