@@ -198,9 +198,10 @@ def _write_records(out_dir: Path, rows, strategy: str, bins, comments, render=No
     check_comments(comments)
     images = render(np.stack([row[1] for row in rows])) if render and rows else [None] * len(rows)
     (out_dir / "masks").mkdir(parents=True, exist_ok=True)
+    if render and rows:
+        (out_dir / "images").mkdir(exist_ok=True)
     for rec, (_, mask, _, _), image in zip(records, rows, images):
         if image is not None:
-            (out_dir / "images").mkdir(exist_ok=True)
             rasters.save_image(out_dir / rec.image_path, image.reshape(mask.shape))
         rasters.save_mask(out_dir / rec.mask_path, mask)
     write_manifest(out_dir / "manifest.tsv", records, comments=comments or None)
@@ -501,6 +502,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if not math.isfinite(args.threshold):
+        raise DomainError(f"--threshold must be finite, got {args.threshold}")
     if (args.features_real is None) != (args.features_syn is None):
         raise DomainError("--features-real and --features-syn must be given together")
     pred_dir, gt_dir = Path(args.pred), Path(args.gt)
@@ -567,7 +570,8 @@ def cmd_propagate(args) -> int:
             preserve_connectivity=preserve,
             seed=args.seed + i,
         )
-        render_seeds.extend(_record_seeds(args.seed + i, args.k))
+        if args.image_model:
+            render_seeds.extend(_record_seeds(args.seed + i, args.k))
         for j, variant in enumerate(mask_ops.propagate(m, policy)):
             provenance = f"base={src.name};variant={j};{variant.provenance}"
             rows.append((f"prop_{i:04d}_{j}", variant.mask, args.seed + i, provenance))

@@ -2,7 +2,9 @@
 
 Masks are 2D uint8 numpy arrays with values in {0,1}. All operations are
 pure; randomized ones take explicit seeds and derive one child generator per
-variant so results are reproducible element by element.
+variant so results are reproducible element by element. Connected components
+are labelled over row runs, not pixels: a union-find joins the runs of
+adjacent rows that touch 8-connectedly.
 """
 from __future__ import annotations
 
@@ -76,6 +78,10 @@ class CoverageBinning:
 
 def uniform_bins(num_classes: int = 10, max_coverage: float = 0.05) -> CoverageBinning:
     """Equal-width bins from 0 to max_coverage (default ten 0.5% bins)."""
+    if not math.isfinite(max_coverage):
+        # linspace would warn on an infinite end (0 * inf); the edge check
+        # rejects a non-finite end as it is.
+        return CoverageBinning(edges=(0.0, max_coverage))
     edges = np.linspace(0.0, max_coverage, num_classes + 1)
     return CoverageBinning(edges=tuple(edges))
 
@@ -152,33 +158,63 @@ def translate(m, dx: int, dy: int) -> np.ndarray:
     return _translate(as_mask(m), dx, dy)
 
 
-def _components(m: np.ndarray) -> tuple[int, np.ndarray]:
+def _run_forest(m: np.ndarray) -> tuple[int, np.ndarray, list[int]]:
+    """Union-find over the foreground runs of a validated mask's rows, after
+    He, Chao & Suzuki, "A Run-Based Two-Scan Labeling Algorithm" (2008).
+
+    Returns the 8-connected component count, each run's length and each
+    run's parent link, runs in raster order. A link always points to a lower
+    run index, so each component's root is its first run."""
     h, w = m.shape
-    # A zero border lets the flat neighbour offsets skip bounds checks.
-    pw = w + 2
-    padded = np.zeros((h + 2, pw), dtype=np.uint8)
-    padded[1:-1, 1:-1] = m
-    unlabeled = padded.ravel().tolist()
-    labels = [0] * len(unlabeled)
-    offsets = (-pw - 1, -pw, -pw + 1, -1, 1, pw - 1, pw, pw + 1)
-    count = 0
-    for start in np.flatnonzero(padded).tolist():
-        if not unlabeled[start]:
-            continue
-        count += 1
-        unlabeled[start] = 0
-        labels[start] = count
-        stack = [start]
-        while stack:
-            p = stack.pop()
-            for off in offsets:
-                q = p + off
-                if unlabeled[q]:
-                    unlabeled[q] = 0
-                    labels[q] = count
-                    stack.append(q)
-    out = np.array(labels, dtype=np.int32).reshape(h + 2, pw)
-    return count, np.ascontiguousarray(out[1:-1, 1:-1])
+    # One leading zero, then each row of m followed by a zero: along this
+    # line the changes alternate between a run's start and its exclusive end,
+    # at flat positions row * (w + 1) + column.
+    line = np.zeros(h * (w + 1) + 1, dtype=bool)
+    line[1:].reshape(h, w + 1)[:, :w] = m
+    starts, ends = np.flatnonzero(np.diff(line)).reshape(-1, 2).T
+    # Run i touches run j of the next row when s_i <= e_j and s_j <= e_i;
+    # with run i moved one row down (w + 1 positions), those j are the slice
+    # first[i]:last[i].
+    first = np.searchsorted(ends, starts + (w + 1))
+    last = np.searchsorted(starts, ends + (w + 1), side="right")
+    touching = np.flatnonzero(last > first)
+    parent = list(range(len(starts)))
+    count = len(parent)
+    for i, j0, j1 in zip(touching.tolist(), first[touching].tolist(), last[touching].tolist()):
+        for j in range(j0, j1):
+            # Find both roots, halving the paths on the way.
+            a, b = i, j
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a < b:
+                parent[b] = a
+                count -= 1
+            elif b < a:
+                parent[a] = b
+                count -= 1
+    return count, ends - starts, parent
+
+
+def _count_components(m: np.ndarray) -> int:
+    """8-connected component count of a validated mask; builds no raster."""
+    return _run_forest(m)[0]
+
+
+def _components(m: np.ndarray) -> tuple[int, np.ndarray]:
+    count, lengths, parent = _run_forest(m)
+    # Every link points to a lower run, so jumping to the parent's parent
+    # reaches each run's root; roots number the components in raster order.
+    root = np.array(parent, dtype=np.intp)
+    while not np.array_equal(root[root], root):
+        root = root[root]
+    run_labels = np.cumsum(root == np.arange(len(root)), dtype=np.int32)[root]
+    labels = np.zeros(m.size, dtype=np.int32)
+    labels[np.flatnonzero(m)] = np.repeat(run_labels, lengths)
+    return count, labels.reshape(m.shape)
 
 
 def connected_components(m) -> tuple[int, np.ndarray]:
@@ -236,9 +272,10 @@ def propagate(m, policy: PropagationPolicy) -> list[MaskVariant]:
     validated once, up front.
     """
     m = as_mask(m)
-    if policy.preserve_connectivity and m.sum() == 0:
-        raise DomainError("cannot preserve connectivity of an empty mask")
-    base_components, _ = _components(m)
+    if policy.preserve_connectivity:
+        base_components = _count_components(m)
+        if base_components == 0:
+            raise DomainError("cannot preserve connectivity of an empty mask")
     out: list[MaskVariant] = []
     for j in range(policy.variants):
         rng = np.random.default_rng([policy.seed, j])
@@ -257,8 +294,8 @@ def propagate(m, policy: PropagationPolicy) -> list[MaskVariant]:
         tag = f"dilate={n_d};erode={n_e};local={int(local)};jitter=({dx},{dy})"
 
         if policy.preserve_connectivity:
-            n_comp, _ = _components(cand)
-            if cand.sum() == 0 or n_comp > base_components:
+            n_comp = _count_components(cand)
+            if n_comp == 0 or n_comp > base_components:
                 cand = _translate(m, dx, dy)
                 tag += ";fallback=jitter_only"
                 if cand.sum() == 0:

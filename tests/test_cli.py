@@ -960,6 +960,23 @@ def test_evaluate_rejects_a_name_a_tsv_row_cannot_carry(tmp_path, capsys, name):
     assert not out.exists() and not report.exists()
 
 
+@pytest.mark.parametrize("flag", [["--threshold", "nan"], ["--threshold", "inf"], ["--threshold=-inf"]])
+def test_evaluate_rejects_a_non_finite_threshold_before_reading(tmp_path, capsys, monkeypatch, flag):
+    masks = tmp_path / "masks"
+    masks.mkdir()
+    save_mask(masks / "a.pgm", np.eye(4, dtype=np.uint8))
+    reads = []
+    for name in ("load_image", "load_mask"):
+        read = getattr(rasters, name)
+        monkeypatch.setattr(cli.rasters, name, lambda path, read=read: reads.append(path) or read(path))
+    out = tmp_path / "eval.tsv"
+    argv = ["evaluate", "--pred", str(masks), "--gt", str(masks), "--out", str(out), *flag]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--threshold" in err
+    assert not reads and not out.exists()
+
+
 def test_evaluate_missing_counterpart_exits_3(tmp_path, capsys):
     pred, gt = tmp_path / "pred", tmp_path / "gt"
     pred.mkdir(), gt.mkdir()

@@ -278,6 +278,84 @@ def test_components_match_oracle_random_5x5():
         assert connected_components(m)[0] == oracle_components(m)
 
 
+def flood_fill_components(m: np.ndarray) -> tuple[int, np.ndarray]:
+    """8-connected count and labels by a pixel-at-a-time flood fill, started
+    from each unlabeled foreground pixel in raster order."""
+    h, w = m.shape
+    # A zero border lets the flat neighbour offsets skip bounds checks.
+    pw = w + 2
+    padded = np.zeros((h + 2, pw), dtype=np.uint8)
+    padded[1:-1, 1:-1] = m
+    unlabeled = padded.ravel().tolist()
+    labels = [0] * len(unlabeled)
+    offsets = (-pw - 1, -pw, -pw + 1, -1, 1, pw - 1, pw, pw + 1)
+    count = 0
+    for start in np.flatnonzero(padded).tolist():
+        if not unlabeled[start]:
+            continue
+        count += 1
+        unlabeled[start] = 0
+        labels[start] = count
+        stack = [start]
+        while stack:
+            p = stack.pop()
+            for off in offsets:
+                q = p + off
+                if unlabeled[q]:
+                    unlabeled[q] = 0
+                    labels[q] = count
+                    stack.append(q)
+    out = np.array(labels, dtype=np.int32).reshape(h + 2, pw)
+    return count, np.ascontiguousarray(out[1:-1, 1:-1])
+
+
+def _edge_case_masks():
+    """1xN and Nx1 strips, empty and full rasters, and shapes that touch the
+    border, where row runs start at column 0 or end at the last column."""
+    border = np.zeros((5, 6), dtype=np.uint8)
+    border[0, :] = border[:, 0] = 1
+    border[4, 5] = 1
+    corners = np.zeros((4, 4), dtype=np.uint8)
+    corners[0, 0] = corners[0, 3] = corners[3, 0] = corners[3, 3] = 1
+    staircase = np.eye(6, dtype=np.uint8)[::-1]
+    return [
+        np.array([[1, 0, 1, 1, 0, 1]], dtype=np.uint8),
+        np.array([[1], [0], [1], [1]], dtype=np.uint8),
+        np.ones((1, 7), dtype=np.uint8),
+        np.ones((7, 1), dtype=np.uint8),
+        np.zeros((1, 1), dtype=np.uint8),
+        np.ones((1, 1), dtype=np.uint8),
+        np.zeros((5, 4), dtype=np.uint8),
+        np.ones((5, 4), dtype=np.uint8),
+        border,
+        corners,
+        staircase,
+        1 - staircase,
+    ]
+
+
+@pytest.mark.parametrize("m", _edge_case_masks(), ids=lambda m: f"{m.shape[0]}x{m.shape[1]}-{m.sum()}px")
+def test_run_labelling_matches_flood_fill_on_edge_cases(m):
+    count, labels = flood_fill_components(m)
+    assert masks_module._count_components(m) == count
+    assert connected_components(m)[0] == count
+    assert np.array_equal(connected_components(m)[1], labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 20),
+    st.integers(1, 20),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_component_count_matches_flood_fill(h, w, density, seed):
+    m = (np.random.default_rng(seed).random((h, w)) < density).astype(np.uint8)
+    count, _ = flood_fill_components(m)
+    assert masks_module._count_components(m) == count
+    assert connected_components(m)[0] == count
+
+
 def reference_labels(m: np.ndarray) -> tuple[int, np.ndarray]:
     """Plain BFS over the raster in row-major order: components are numbered
     in raster order of their first pixel."""
@@ -361,6 +439,35 @@ def test_propagate_validates_its_input_once(monkeypatch):
     policy = PropagationPolicy(variants=10, max_dilate=1, max_erode=1, jitter_px=1, seed=3)
     assert len(propagate(base, policy)) == 10
     assert len(calls) == 1
+
+
+def _random_walk_cracks(n: int, side: int = 64, walk: int = 300, seed: int = 0) -> list:
+    """8-connected random walks clamped to the raster; every other one 2 px wide."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        steps = rng.integers(-1, 2, (walk, 2))
+        path = np.clip(rng.integers(0, side, 2) + np.cumsum(steps, axis=0), 0, side - 1)
+        m = np.zeros((side, side), dtype=np.uint8)
+        m[path[:, 0], path[:, 1]] = 1
+        if i % 2:
+            m[1:] |= m[:-1].copy()
+        out.append(m)
+    return out
+
+
+def test_propagate_on_cracks_matches_the_flood_fill_count(monkeypatch):
+    cracks = _random_walk_cracks(16, seed=11)
+    policies = [PropagationPolicy(variants=3, seed=100 + i) for i in range(len(cracks))]
+    runs = [propagate(m, p) for m, p in zip(cracks, policies)]
+    monkeypatch.setattr(masks_module, "_count_components", lambda m: flood_fill_components(m)[0])
+    fills = [propagate(m, p) for m, p in zip(cracks, policies)]
+    for run, fill in zip(runs, fills):
+        for a, b in zip(run, fill, strict=True):
+            assert a.provenance == b.provenance
+            assert a.mask.dtype == b.mask.dtype and np.array_equal(a.mask, b.mask)
+    provenances = [v.provenance for run in runs for v in run]
+    assert any("fallback=" in p for p in provenances), "no variant fell back; adjust seed"
 
 
 def test_propagate_deterministic_golden():
