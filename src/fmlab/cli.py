@@ -11,8 +11,8 @@ mismatch.
 Every command solves its ODE rows through _solve_rows, in batched calls of
 at most _SOLVE_ROWS rows, so a command's cost scales with rows x steps and
 its solver memory does not grow with the number of pairs it writes. Every
-model flag is loaded through _load_task, which requires the .meta task that
-the flag needs and, where the masks are known, their shape.
+model flag is loaded through _load_task, which requires the checkpoint's meta
+to name the task the flag needs and, where the masks are known, their shape.
 
 Outputs other than rasters are built whole, then replaced in one step by
 _files.write_file. _write_records checks every record before any image
@@ -25,7 +25,7 @@ import math
 import os
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,8 @@ from .neural import (
     MASK_CONDITIONAL,
     TrainConfig,
     VelocityModel,
-    load_checkpoint,
+    _read_checkpoint,
+    load_checkpoint,  # unused here; perfbench's tracer wraps cli.load_checkpoint
     save_checkpoint,
     train_fm,
     train_rf_injector,
@@ -90,41 +91,26 @@ def effective_seed(cfg_seed: int) -> int:
     return int(env) if env else cfg_seed
 
 
-# -- checkpoint metadata sidecar ------------------------------------------------
+# -- shared helpers -------------------------------------------------------------
 
 
-# The VelocityModel arguments a .meta sidecar records, in file order; mask
-# models add mask_height and mask_width.
+# The VelocityModel arguments a checkpoint's meta records first, in order;
+# mask models add mask_height and mask_width, and train adds its extra keys.
 _ARCH_KEYS = ("mode", "data_dim", "width", "hidden_layers", "time_embed_dim", "num_classes")
 
 
-def _write_meta(path, model: VelocityModel, extra: dict[str, str]) -> None:
-    meta = {key: getattr(model, key) for key in _ARCH_KEYS}
-    if model.mask_shape is not None:
-        meta["mask_height"], meta["mask_width"] = model.mask_shape
-    write_file(path, (f"{key}={value}\n" for key, value in {**meta, **extra}.items()))
-
-
 def load_model(checkpoint_path) -> tuple[VelocityModel, dict[str, str]]:
-    """Rebuild a model with its EMA weights from a checkpoint and its .meta sidecar."""
-    meta_path = str(checkpoint_path) + ".meta"
-    if not os.path.exists(meta_path):
-        raise DomainError(f"missing checkpoint metadata {meta_path}")
-    meta = parse_config(meta_path)
+    """Rebuild a model with its EMA weights, and its meta, from one checkpoint read."""
+    meta, _, ema = _read_checkpoint(checkpoint_path)
     try:
         mask_shape = None
         if "mask_height" in meta:
             mask_shape = (int(meta["mask_height"]), int(meta["mask_width"]))
         sizes = {key: int(meta[key]) for key in _ARCH_KEYS[1:]}
-        model = VelocityModel(mode=meta["mode"], mask_shape=mask_shape, **sizes)
+        mode = meta["mode"]
     except KeyError as exc:
-        raise DomainError(f"{meta_path} has no key {exc}") from None
-    _, ema = load_checkpoint(checkpoint_path)
-    model.set_params(ema)
-    return model, meta
-
-
-# -- shared helpers -------------------------------------------------------------
+        raise DomainError(f"{checkpoint_path} has no key {exc}") from None
+    return VelocityModel(mode=mode, mask_shape=mask_shape, params=ema, **sizes), meta
 
 
 def _sorted_files(directory) -> list[Path]:
@@ -143,7 +129,7 @@ def _load_mask_dir(directory) -> tuple[list[np.ndarray], list[Path]]:
 
 
 def _bins_from(cfg: dict[str, str]):
-    """Coverage binning named by a config or .meta sidecar, with the defaults."""
+    """Coverage binning named by a config or a checkpoint's meta, with the defaults."""
     num_classes = int(cfg.get("num_classes", _NUM_CLASSES))
     max_coverage = float(cfg.get("max_coverage", _MAX_COVERAGE))
     return mask_ops.uniform_bins(num_classes, max_coverage)
@@ -167,8 +153,9 @@ def _solve_rows(solve, model: VelocityModel, x0: np.ndarray, cond, icfg) -> np.n
 
 
 def _load_task(flag: str, path, task: str, mask_shape=None) -> tuple[VelocityModel, dict]:
-    """Model and .meta at path, given by flag. The .meta must name task (and
-    its training mode) and, when mask_shape is given, masks of that shape."""
+    """Model and meta of the checkpoint at path, given by flag. The meta must
+    name task (and its training mode) and, when mask_shape is given, masks
+    of that shape."""
     model, meta = load_model(path)
     if meta.get("task") != task or model.mode != _TASKS[task][0]:
         raise DomainError(f"{flag} {path}: need task={task}, got task={meta.get('task')}")
@@ -183,17 +170,19 @@ def _write_records(out_dir: Path, rows, strategy: str, bins, comments, render=No
     render, when given, maps the stack of row masks to one image per row,
     written as images/<stem>.pgm. Every record and comment is checked before
     render runs, and the manifest is written last, so a rejected one costs
-    no ODE solve and leaves no output."""
+    no ODE solve and leaves no output. Row masks are valid 0/1 rasters, so
+    each class is assign_class(coverage(mask)) without coverage's copy."""
+    classes = np.searchsorted(bins.edges, [row[1].mean() for row in rows], side="right") - 1
     records = [
         ManifestRecord(
             image_path="" if render is None else f"images/{stem}.pgm",
             mask_path=f"masks/{stem}.pgm",
-            coverage_class=mask_ops.assign_class(mask_ops.coverage(mask), bins),
+            coverage_class=int(c),
             strategy=strategy,
             seed=int(seed),
             provenance=provenance,
         )
-        for stem, mask, seed, provenance in rows
+        for (stem, _, seed, provenance), c in zip(rows, classes.clip(0, bins.num_classes - 1))
     ]
     check_comments(comments)
     images = render(np.stack([row[1] for row in rows])) if render and rows else [None] * len(rows)
@@ -308,8 +297,10 @@ def cmd_train(args) -> int:
         state = train_fm(model, data, linear_schedule(), tcfg, callback=on_step)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out, state.params, state.ema_params)
-    _write_meta(str(out) + ".meta", model, extra)
+    meta = {key: getattr(model, key) for key in _ARCH_KEYS}
+    if model.mask_shape is not None:
+        meta["mask_height"], meta["mask_width"] = model.mask_shape
+    save_checkpoint(out, state.params, state.ema_params, {**meta, **extra})
     write_file(str(out) + ".log.tsv", log)
     print(f"wrote checkpoint {out} ({state.step} steps)")
     return EXIT_OK
@@ -320,6 +311,7 @@ def cmd_train(args) -> int:
 
 def _synthesize(
     args,
+    icfg: IntegratorConfig,
     mask_model: VelocityModel,
     mask_meta: dict[str, str],
     n_total: int,
@@ -329,12 +321,11 @@ def _synthesize(
     perturb: bool = False,
 ) -> None:
     """Sample n_total masks from mask_model with classes drawn from
-    class_probs, render an image for each with args.image_model, and write the
-    pairs under args.out with the manifest comment lines header."""
+    class_probs, render an image for each with args.image_model (both solves
+    follow icfg), and write the pairs under args.out with comment lines header."""
     side = int(mask_meta["resolution"])
     image_model, _ = _load_task("--image-model", args.image_model, "image_renderer", (side, side))
     seeds = _record_seeds(args.seed, n_total)
-    icfg = IntegratorConfig(method=args.method, steps=args.ode_steps, cfg_omega=args.cfg_omega)
 
     # Each record's generator draws its class, its mask noise and its image
     # noise, in that order; the rows are then batched through the ODE.
@@ -372,21 +363,23 @@ def cmd_synthesize_indomain(args) -> int:
     if args.k < 1 or args.real_count < 0:
         raise DomainError(f"need k >= 1 and real-count >= 0, got {args.k} and {args.real_count}")
     n_total = args.k * args.real_count
+    icfg = IntegratorConfig(method=args.method, steps=args.ode_steps, cfg_omega=args.cfg_omega)
     mask_model, mask_meta = _load_task("--mask-model", args.mask_model, "mask_generator")
     class_probs = np.full(mask_model.num_classes, 1.0 / mask_model.num_classes)
     header = [f"policy=indomain x={args.real_count} k={args.k} total={n_total}"]
-    _synthesize(args, mask_model, mask_meta, n_total, class_probs, "indomain", header)
+    _synthesize(args, icfg, mask_model, mask_meta, n_total, class_probs, "indomain", header)
     return EXIT_OK
 
 
 def cmd_synthesize_crossdomain(args) -> int:
     if not 0.0 <= args.multiplier < math.inf:
         raise DomainError(f"multiplier must be finite and >= 0, got {args.multiplier}")
+    icfg = IntegratorConfig(method=args.method, steps=args.ode_steps, cfg_omega=args.cfg_omega)
     target_masks, _ = _load_mask_dir(args.target_masks)
     x_target = len(target_masks)
     n_total = math.ceil(args.multiplier * x_target)
-    mask_model, mask_meta = _load_task("--mask-model", args.mask_model, "mask_generator")
-    bins = _bins_from(mask_meta)
+    model, meta = _load_task("--mask-model", args.mask_model, "mask_generator")
+    bins = _bins_from(meta)
     stats = mask_ops.estimate_target_stats(target_masks, args.fraction, bins, seed=args.seed)
     print(
         f"target stats from {stats.n_used}/{x_target} masks: "
@@ -401,7 +394,7 @@ def cmd_synthesize_crossdomain(args) -> int:
         f"mean_width={repr(stats.mean_width)}",
     ]
     _synthesize(
-        args, mask_model, mask_meta, n_total, stats.histogram, "crossdomain", header, args.perturb
+        args, icfg, model, meta, n_total, stats.histogram, "crossdomain", header, args.perturb
     )
     return EXIT_OK
 
@@ -484,13 +477,11 @@ def cmd_split(args) -> int:
         ]
     order = np.random.default_rng(args.seed).permutation(len(records))
     counts = split_counts(len(records), fractions)
-    names = ("train", "val", "test")
+    # The shuffled order falls into contiguous blocks of counts[i] records.
+    names = [name for name, count in zip(("train", "val", "test"), counts) for _ in range(count)]
     assigned = list(records)
-    cursor = 0
-    for name, count in zip(names, counts):
-        for idx in order[cursor : cursor + count]:
-            assigned[idx] = records[idx].with_split(name)
-        cursor += count
+    for idx, name in zip(order, names):
+        assigned[idx] = records[idx].with_split(name)
     out_comments = comments + [
         f"split rule: seeded shuffle (seed={args.seed}) then contiguous blocks; "
         "counts floor(f*N) with remainder to largest fractional part (ties to earlier split)",
@@ -603,14 +594,19 @@ def cmd_stats(args) -> int:
 # -- entry point --------------------------------------------------------------------
 
 
+@cache  # main reuses the one parser; each parse_args returns a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fmlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train a model from a key=value config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True, help="checkpoint path (.meta/.log.tsv written beside)")
-    p.set_defaults(fn=cmd_train)
+    def command(name: str, fn, about: str, *required: str, out_help: str | None = None):
+        """Subcommand name running fn, with the string flags required and --out."""
+        p = sub.add_parser(name, help=about)
+        for flag in required:
+            p.add_argument(flag, required=True)
+        p.add_argument("--out", required=True, help=out_help)
+        p.set_defaults(fn=fn)
+        return p
 
     def add_sampling_flags(p, with_cfg=True):
         p.add_argument("--ode-steps", type=int, default=50)
@@ -619,79 +615,58 @@ def build_parser() -> argparse.ArgumentParser:
         if with_cfg:
             p.add_argument("--cfg-omega", type=float, default=1.2)
 
-    p = sub.add_parser("synthesize-indomain", help="sample k*x mask/image pairs")
-    p.add_argument("--mask-model", required=True)
-    p.add_argument("--image-model", required=True)
-    p.add_argument("--real-count", type=int, required=True, help="real training set size x")
-    p.add_argument("--k", type=int, default=16)
-    p.add_argument("--out", required=True)
-    add_sampling_flags(p)
-    p.set_defaults(fn=cmd_synthesize_indomain)
-
-    p = sub.add_parser(
-        "synthesize-crossdomain", help="target-statistics-guided synthesis of multiplier*x pairs"
-    )
-    p.add_argument("--mask-model", required=True)
-    p.add_argument("--image-model", required=True)
-    p.add_argument("--target-masks", required=True)
-    p.add_argument("--fraction", type=float, default=0.1)
-    p.add_argument("--multiplier", type=float, default=4.0)
-    p.add_argument("--perturb", action="store_true", help="apply width perturbations to masks")
-    p.add_argument("--out", required=True)
-    add_sampling_flags(p)
-    p.set_defaults(fn=cmd_synthesize_crossdomain)
-
     def add_binning_flags(p):
         p.add_argument("--num-classes", type=int, default=_NUM_CLASSES)
         p.add_argument("--max-coverage", type=float, default=_MAX_COVERAGE)
 
-    p = sub.add_parser("inject", help="render masks onto backgrounds via the injector model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--backgrounds", required=True)
-    p.add_argument("--masks", required=True)
+    about = "train a model from a key=value config"
+    command("train", cmd_train, about, "--config", out_help="checkpoint path, .log.tsv beside it")
+
+    models = ("--mask-model", "--image-model")
+    about = "sample k*x mask/image pairs"
+    p = command("synthesize-indomain", cmd_synthesize_indomain, about, *models)
+    p.add_argument("--real-count", type=int, required=True, help="real training set size x")
+    p.add_argument("--k", type=int, default=16)
+    add_sampling_flags(p)
+
+    about = "target-statistics-guided synthesis of multiplier*x pairs"
+    p = command("synthesize-crossdomain", cmd_synthesize_crossdomain, about, *models, "--target-masks")
+    p.add_argument("--fraction", type=float, default=0.1)
+    p.add_argument("--multiplier", type=float, default=4.0)
+    p.add_argument("--perturb", action="store_true", help="apply width perturbations to masks")
+    add_sampling_flags(p)
+
+    about = "render masks onto backgrounds via the injector model"
+    p = command("inject", cmd_inject, about, "--model", "--backgrounds", "--masks")
     p.add_argument("--pairing", choices=("zip", "cartesian"), default="zip")
-    p.add_argument("--out", required=True)
     add_sampling_flags(p, with_cfg=False)
     add_binning_flags(p)
-    p.set_defaults(fn=cmd_inject)
 
-    p = sub.add_parser("split", help="assign train/val/test splits to a manifest")
-    p.add_argument("--manifest", required=True)
+    p = command("split", cmd_split, "assign train/val/test splits to a manifest", "--manifest")
     p.add_argument("--fractions", default="0.8,0.1,0.1")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_split)
 
-    p = sub.add_parser("evaluate", help="IoU/F1 of predicted masks against ground truth")
-    p.add_argument("--pred", required=True)
-    p.add_argument("--gt", required=True)
+    about = "IoU/F1 of predicted masks against ground truth"
+    p = command("evaluate", cmd_evaluate, about, "--pred", "--gt")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--out", required=True)
     p.add_argument("--report", default=None, help="optional named-column summary TSV")
     p.add_argument("--features-real", default=None, help="feature TSV for FID/KID reporting")
     p.add_argument("--features-syn", default=None, help="feature TSV for FID/KID reporting")
-    p.set_defaults(fn=cmd_evaluate)
 
-    p = sub.add_parser("propagate", help="structure-preserving mask variants")
-    p.add_argument("--masks", required=True)
+    p = command("propagate", cmd_propagate, "structure-preserving mask variants", "--masks")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--max-dilate", type=int, default=1)
     p.add_argument("--max-erode", type=int, default=1)
     p.add_argument("--jitter", type=int, default=1)
     p.add_argument("--allow-topology-change", action="store_true")
     p.add_argument("--image-model", default=None, help="optionally render images for variants")
-    p.add_argument("--out", required=True)
     add_sampling_flags(p, with_cfg=False)
     add_binning_flags(p)
-    p.set_defaults(fn=cmd_propagate)
 
-    p = sub.add_parser("stats", help="coverage-class histogram and width summary")
-    p.add_argument("--masks", required=True)
+    p = command("stats", cmd_stats, "coverage-class histogram and width summary", "--masks")
     p.add_argument("--fraction", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     add_binning_flags(p)
-    p.set_defaults(fn=cmd_stats)
 
     return parser
 

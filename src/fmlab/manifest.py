@@ -104,17 +104,9 @@ def read_manifest(path) -> tuple[list[ManifestRecord], list[str]]:
                 continue
             if len(cells) != len(_COLUMNS):
                 raise DomainError(f"malformed manifest row: {line!r}")
-            records.append(
-                ManifestRecord(
-                    image_path=cells[0],
-                    mask_path=cells[1],
-                    coverage_class=int(cells[2]),
-                    strategy=cells[3],
-                    split=cells[4],
-                    seed=int(cells[5]),
-                    provenance=cells[6],
-                )
-            )
+            # The cells follow the record's fields, _COLUMNS order.
+            image, mask, cls, strategy, split, seed, prov = cells
+            records.append(ManifestRecord(image, mask, int(cls), strategy, split, int(seed), prov))
     if header is None:
         raise DomainError(f"manifest {path} has no header row")
     return records, comments
@@ -128,11 +120,8 @@ def validate_manifest(path) -> list[ManifestRecord]:
     """
     records, _ = read_manifest(path)
     base = Path(os.path.dirname(os.path.abspath(path)))
-    missing = []
-    for rec in records:
-        for p in (rec.image_path, rec.mask_path):
-            if p and not (base / p).exists():
-                missing.append(p)
+    paths = (p for rec in records for p in (rec.image_path, rec.mask_path) if p)
+    missing = [p for p in paths if not (base / p).exists()]
     if missing:
         raise DomainError(f"manifest references missing files: {missing[:5]}")
     return records

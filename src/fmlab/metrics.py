@@ -79,8 +79,7 @@ def fid(real, syn) -> float:
     residual = np.linalg.norm(s @ s - inner_sym)
     if residual > _SQRT_RESIDUAL_TOL * max(np.linalg.norm(inner_sym), 1e-30):
         raise NumericError(f"matrix sqrt residual {residual:.3e} beyond tolerance")
-    value = float(np.sum((mu_r - mu_s) ** 2) + np.trace(cov_r + cov_s - 2.0 * s))
-    return value
+    return float(np.sum((mu_r - mu_s) ** 2) + np.trace(cov_r + cov_s - 2.0 * s))
 
 
 def _poly_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:

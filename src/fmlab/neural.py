@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"FMCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 CLASS_CONDITIONAL = "class_conditional"
 MASK_CONDITIONAL = "mask_conditional"
@@ -99,6 +99,8 @@ class VelocityModel:
     label/time signal reaches each block rather than only the input. None
     always denotes the null condition (null token / all-zeros mask). The
     output layer starts at zero, so a fresh model is the zero velocity field.
+    params, when given, is a flat parameter vector as get_params returns it
+    (a loaded checkpoint's); the model copies it and draws nothing from seed.
     """
 
     def __init__(
@@ -111,6 +113,7 @@ class VelocityModel:
         hidden_layers: int = 2,
         time_embed_dim: int = 32,
         seed: int = 0,
+        params: np.ndarray | None = None,
     ):
         if mode not in (CLASS_CONDITIONAL, MASK_CONDITIONAL):
             raise DomainError(f"unknown mode {mode!r}")
@@ -153,7 +156,9 @@ class VelocityModel:
         # hold named, reshaped views into them, so the optimizer updates the
         # weights and backward writes the gradients without any copying.
         n_params = sum(int(np.prod(shape)) for _, shape in shapes)
-        self._flat = np.zeros(n_params)
+        self._flat = np.zeros(n_params) if params is None else np.array(params, dtype=np.float64)
+        if self._flat.shape != (n_params,):
+            raise ShapeError(f"expected {n_params} parameters, got {self._flat.shape}")
         self._gflat = np.zeros(n_params)
         self._p: dict[str, np.ndarray] = {}
         self._g: dict[str, np.ndarray] = {}
@@ -163,6 +168,8 @@ class VelocityModel:
             self._p[name] = self._flat[offset : offset + size].reshape(shape)
             self._g[name] = self._gflat[offset : offset + size].reshape(shape)
             offset += size
+            if params is not None:
+                continue
             if name == "emb":
                 self._p[name][...] = rng.normal(0.0, 1.0 / np.sqrt(dt), shape)
             elif not name.startswith("b") and name != "w_out":
@@ -588,32 +595,60 @@ def train_rf_injector(
 
 # -- checkpoint I/O -----------------------------------------------------------
 
+# The 16-byte header (magic, version, parameter count), then the meta block's length.
+_HEADER = struct.Struct("<4sIQI")
 
-def save_checkpoint(path, params: np.ndarray, ema_params: np.ndarray) -> None:
-    """Write the flat little-endian checkpoint: magic, version, count, params, ema."""
+
+def _parse_meta(block: bytes) -> dict[str, str]:
+    """The ASCII key=value lines of a checkpoint's meta block; later keys win."""
+    if not block.isascii():
+        raise DomainError("checkpoint meta block is not ASCII")
+    lines = block.decode().splitlines()
+    for line in lines:
+        if "=" not in line:
+            raise DomainError(f"checkpoint meta line {line!r} has no '='")
+    return dict(line.split("=", 1) for line in lines)
+
+
+def save_checkpoint(path, params: np.ndarray, ema_params: np.ndarray, meta) -> None:
+    """Write the flat little-endian checkpoint: magic, version, count, the
+    meta block's length, the meta block (a key=value line per item of meta,
+    which must read back as itself), params, ema."""
     params = np.ascontiguousarray(params, dtype="<f8")
     ema_params = np.ascontiguousarray(ema_params, dtype="<f8")
     if params.shape != ema_params.shape or params.ndim != 1:
         raise ShapeError("params and ema_params must be equal-length vectors")
-    header = CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, params.size)
-    write_file(path, (header, params, ema_params))
+    meta = {str(key): str(value) for key, value in meta.items()}
+    text = "".join(f"{key}={value}\n" for key, value in meta.items())
+    if _parse_meta(text.encode()) != meta:
+        raise DomainError(f"checkpoint meta {meta!r} does not read back as key=value lines")
+    header = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, params.size, len(text))
+    write_file(path, (header, text, params, ema_params))
 
 
-def load_checkpoint(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a checkpoint back as (params, ema_params). A file cut or padded
-    anywhere raises DomainError."""
+def _read_checkpoint(path) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
+    """A checkpoint's meta, params and ema from one read, the last two as
+    read-only views of the file's bytes. A file cut or padded anywhere, or
+    one whose meta block save_checkpoint would not write, raises DomainError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise DomainError(f"bad checkpoint magic {blob[:4]!r}")
-    if len(blob) < 16:
+    if len(blob) < _HEADER.size:
         raise DomainError("checkpoint header truncated")
-    version, count = struct.unpack_from("<IQ", blob, 4)
+    _, version, count, meta_len = _HEADER.unpack_from(blob)
     if version != CHECKPOINT_VERSION:
         raise DomainError(f"unsupported checkpoint version {version}")
-    if len(blob) < 16 + 16 * count:
+    start = _HEADER.size + meta_len
+    if len(blob) < start + 16 * count:
         raise DomainError("checkpoint truncated")
-    if len(blob) > 16 + 16 * count:
+    if len(blob) > start + 16 * count:
         raise DomainError("trailing bytes after checkpoint data")
-    params, ema = np.frombuffer(blob, dtype="<f8", offset=16).reshape(2, count)
+    params, ema = np.frombuffer(blob, dtype="<f8", offset=start).reshape(2, count)
+    return _parse_meta(blob[_HEADER.size : start]), params, ema
+
+
+def load_checkpoint(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a checkpoint's (params, ema_params) back as writable copies."""
+    _, params, ema = _read_checkpoint(path)
     return params.copy(), ema.copy()

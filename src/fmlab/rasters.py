@@ -105,9 +105,8 @@ def save_mask(path, mask: np.ndarray) -> None:
 
 def load_image(path) -> np.ndarray:
     """Float image in [0,1]; (H,W) from PGM, (H,W,3) from PPM by suffix."""
-    if str(path).endswith(".ppm"):
-        return load_ppm(path).astype(np.float64) / 255.0
-    return load_pgm(path).astype(np.float64) / 255.0
+    raster = load_ppm(path) if str(path).endswith(".ppm") else load_pgm(path)
+    return raster.astype(np.float64) / 255.0
 
 
 def save_image(path, image: np.ndarray) -> None:

@@ -21,7 +21,7 @@ _DIVERGENCE_LIMIT = 1e6
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """method 'euler' or 'heun'; steps >= 1; cfg_omega None disables guidance."""
+    """method 'euler' or 'heun'; steps >= 1; cfg_omega finite, or None to disable guidance."""
 
     method: str = "euler"
     steps: int = 50
@@ -32,6 +32,8 @@ class IntegratorConfig:
             raise DomainError(f"method must be 'euler' or 'heun', got {self.method!r}")
         if self.steps < 1:
             raise DomainError(f"steps must be >= 1, got {self.steps}")
+        if self.cfg_omega is not None and not np.isfinite(self.cfg_omega):
+            raise DomainError(f"cfg_omega must be finite, got {self.cfg_omega}")
 
 
 def _guard(x: np.ndarray, step: int) -> None:

@@ -7,6 +7,7 @@ from fmlab.errors import DivergenceError, DomainError, NumericError, TrainingErr
 from fmlab.masks import PropagationPolicy, propagate
 from fmlab.sampler import IntegratorConfig
 from fmlab.manifest import ManifestRecord, read_manifest, validate_manifest, write_manifest
+from fmlab.neural import _read_checkpoint, save_checkpoint
 from fmlab.rasters import load_image, load_mask, save_image, save_mask
 
 
@@ -119,8 +120,11 @@ def test_train_two_gaussians_writes_artifacts(tmp_path):
     )
     out = tmp_path / "tg.fmck"
     assert main(["train", "--config", cfg, "--out", str(out)]) == 0
-    assert out.exists()
-    meta = parse_config(str(out) + ".meta")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tg.cfg", "tg.fmck", "tg.fmck.log.tsv"]
+    meta = _read_checkpoint(out)[0]
+    assert list(meta) == [
+        "mode", "data_dim", "width", "hidden_layers", "time_embed_dim", "num_classes", "task"
+    ]
     assert meta["task"] == "two_gaussians"
     assert meta["mode"] == "class_conditional"
     log_lines = (tmp_path / "tg.fmck.log.tsv").read_text().splitlines()
@@ -374,6 +378,30 @@ def test_synthesize_rejects_a_bad_count_before_reading_a_file(
     assert capsys.readouterr().err.startswith(("error: multiplier must", "error: need k >= 1"))
     assert not out.exists()
 
+
+@pytest.mark.parametrize("command", ["synthesize-indomain --real-count 2", "synthesize-crossdomain"])
+@pytest.mark.parametrize("omega", [["--cfg-omega", "nan"], ["--cfg-omega", "inf"], ["--cfg-omega=-inf"]])
+def test_synthesize_rejects_a_non_finite_cfg_omega_before_loading_a_model(
+    workspace, tmp_path, capsys, monkeypatch, command, omega
+):
+    monkeypatch.setattr(cli, "load_model", lambda *a: pytest.fail("a model was loaded"))
+    out = tmp_path / "out"
+    argv = command.split() + ["--target-masks", str(workspace / "masks")] * ("cross" in command)
+    argv += ["--mask-model", str(workspace / "mask.fmck"), "--image-model", str(workspace / "render.fmck")]
+    assert main(argv + omega + ["--ode-steps", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cfg_omega must be finite, got ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("omega", ["-0.5", "0", "1", "3"])
+def test_synthesize_takes_any_finite_cfg_omega(workspace, tmp_path, omega):
+    out = tmp_path / "out"
+    argv = ["synthesize-indomain", "--real-count", "2", "--k", "1", "--cfg-omega", omega]
+    argv += ["--mask-model", str(workspace / "mask.fmck"), "--image-model", str(workspace / "render.fmck")]
+    assert main(argv + ["--ode-steps", "2", "--out", str(out)]) == 0
+    assert len(read_manifest(out / "manifest.tsv")[0]) == 2
+
+
 # -- inject -------------------------------------------------------------------------
 
 
@@ -530,30 +558,58 @@ def test_a_renderer_and_an_injector_cannot_stand_in_for_each_other(
     assert not out.exists()
 
 
+def _propagate_with(workspace, tmp_path, image_model):
+    """Exit code of propagate --image-model image_model; it must leave no output."""
+    out = tmp_path / "out"
+    argv = ["propagate", "--masks", str(workspace / "masks"), "--image-model", str(image_model)]
+    code = main(argv + ["--ode-steps", "2", "--out", str(out)])
+    assert not out.exists()
+    return code
+
+
 def test_a_checkpoint_cut_anywhere_in_its_header_exits_2(workspace, tmp_path, capsys):
     blob = (workspace / "render.fmck").read_bytes()
     cut = tmp_path / "cut.fmck"
-    (tmp_path / "cut.fmck.meta").write_bytes((workspace / "render.fmck.meta").read_bytes())
-    out = tmp_path / "out"
-    argv = ["propagate", "--masks", str(workspace / "masks"), "--image-model", str(cut)]
-    for length in range(4, 16):
+    for length in range(4, 20):
         cut.write_bytes(blob[:length])
-        assert main(argv + ["--ode-steps", "2", "--out", str(out)]) == 2
+        assert _propagate_with(workspace, tmp_path, cut) == 2
         assert "error: checkpoint header truncated" in capsys.readouterr().err
-        assert not out.exists()
+
+
+def test_a_checkpoint_cut_or_padded_past_its_header_exits_2(workspace, tmp_path, capsys):
+    blob = (workspace / "render.fmck").read_bytes()
+    meta_end = 20 + int.from_bytes(blob[16:20], "little")
+    assert meta_end > 20  # the meta block is not empty
+    bad = tmp_path / "bad.fmck"
+    # Every length in the meta block and the first data bytes, then a few more.
+    for length in [*range(20, meta_end + 9), meta_end + 8 * 101, len(blob) // 2, len(blob) - 1]:
+        bad.write_bytes(blob[:length])
+        assert _propagate_with(workspace, tmp_path, bad) == 2
+        assert "error: checkpoint truncated" in capsys.readouterr().err
+    # One byte inserted anywhere in the header or the meta block, or in the data.
+    for at in [*range(meta_end + 9), len(blob) // 2, len(blob)]:
+        bad.write_bytes(blob[:at] + b"x" + blob[at:])
+        assert _propagate_with(workspace, tmp_path, bad) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_version_1_checkpoint_exits_2(workspace, tmp_path, capsys):
+    _, params, ema = _read_checkpoint(workspace / "render.fmck")
+    old = tmp_path / "old.fmck"
+    old.write_bytes(b"FMCK" + (1).to_bytes(4, "little") + params.size.to_bytes(8, "little")
+                    + params.tobytes() + ema.tobytes())
+    assert _propagate_with(workspace, tmp_path, old) == 2
+    assert "error: unsupported checkpoint version 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["width", "mode", "mask_width"])
 def test_load_model_names_the_meta_and_its_missing_key(workspace, tmp_path, capsys, key):
+    meta, params, ema = _read_checkpoint(workspace / "render.fmck")
+    del meta[key]
     ckpt = tmp_path / "m.fmck"
-    ckpt.write_bytes((workspace / "render.fmck").read_bytes())
-    lines = (workspace / "render.fmck.meta").read_text().splitlines(keepends=True)
-    (tmp_path / "m.fmck.meta").write_text("".join(l for l in lines if not l.startswith(key + "=")))
-    out = tmp_path / "out"
-    argv = ["propagate", "--masks", str(workspace / "masks"), "--image-model", str(ckpt)]
-    assert main(argv + ["--ode-steps", "2", "--out", str(out)]) == 2
-    assert f"error: {ckpt}.meta has no key '{key}'" in capsys.readouterr().err
-    assert not out.exists()
+    save_checkpoint(ckpt, params, ema, meta)
+    assert _propagate_with(workspace, tmp_path, ckpt) == 2
+    assert f"error: {ckpt} has no key '{key}'" in capsys.readouterr().err
 
 
 # Each float flag a command takes, with the rest of a command line that works;
@@ -1158,6 +1214,24 @@ def test_propagate_rejected_comment_leaves_no_output(workspace, tmp_path, capsys
     assert main(["propagate", "--masks", str(src), "--k", "2", "--out", str(out)]) == 2
     assert "non-ASCII" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_main_reuses_one_parser_and_each_call_starts_from_the_defaults(workspace, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    masks = str(workspace / "masks")
+    first = ["stats", "--masks", masks, "--fraction", "1", "--num-classes", "3", "--seed", "4"]
+    assert main(first + ["--out", str(tmp_path / "s3.tsv")]) == 0
+    assert main(["propagate", "--masks", masks, "--k", "1", "--out", str(tmp_path / "prop")]) == 0
+    assert main(["stats", "--masks", masks, "--out", str(tmp_path / "s.tsv")]) == 0
+    lines = (tmp_path / "s3.tsv").read_text().splitlines()
+    assert [l.split("\t")[0] for l in lines[1:4]] == ["class_0", "class_1", "class_2"]
+    n = len(list((workspace / "masks").iterdir()))
+    assert lines[-1] == f"n_used\t{n}"
+    # The defaults again: ten classes and a tenth of the masks, rounded up.
+    lines = (tmp_path / "s.tsv").read_text().splitlines()
+    assert len(lines) == 1 + 10 + 2 and lines[-1] == f"n_used\t{-(-n // 10)}"
+    records, _ = read_manifest(tmp_path / "prop" / "manifest.tsv")
+    assert len(records) == n and all(r.image_path == "" for r in records)
 
 
 def test_stats_cli(workspace, tmp_path):

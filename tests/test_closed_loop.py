@@ -2,7 +2,7 @@
 import numpy as np
 
 from fmlab import toys
-from fmlab.cli import _write_meta, main
+from fmlab.cli import main
 from fmlab.manifest import read_manifest
 from fmlab.masks import assign_class, coverage, uniform_bins
 from fmlab.neural import save_checkpoint
@@ -12,12 +12,10 @@ from fmlab.rasters import load_mask, save_mask
 def test_crossdomain_synthesis_follows_concentrated_histogram(mask_generator_run, tmp_path):
     model, state = mask_generator_run
     ckpt = tmp_path / "maskgen.fmck"
-    save_checkpoint(ckpt, state.params, state.ema_params)
-    _write_meta(
-        str(ckpt) + ".meta",
-        model,
-        {"task": "mask_generator", "resolution": "8", "num_classes": "2", "max_coverage": "0.75"},
-    )
+    arch = {key: getattr(model, key) for key in ("mode", "data_dim", "width", "hidden_layers")}
+    meta = {**arch, "time_embed_dim": model.time_embed_dim, "num_classes": 2}
+    meta.update(task="mask_generator", resolution=8, max_coverage=0.75)
+    save_checkpoint(ckpt, state.params, state.ema_params, meta)
 
     renderer_dirs = tmp_path / "render_data"
     (renderer_dirs / "masks").mkdir(parents=True)

@@ -61,7 +61,6 @@ def _features(root: Path, version: int) -> None:
 # that writes it there with content that depends on version.
 WRITERS = [
     ("m.fmck", _train),
-    ("m.fmck.meta", _train),
     ("m.fmck.log.tsv", _train),
     ("manifest.tsv", _manifest),
     ("eval.tsv", _evaluate),

@@ -15,6 +15,7 @@ from fmlab.neural import (
     VelocityModel,
     adam_step,
     ema_update,
+    _read_checkpoint,
     init_train_state,
     load_checkpoint,
     save_checkpoint,
@@ -177,6 +178,19 @@ def test_set_params_reaches_forward_and_get_params_copies():
     assert np.array_equal(model.forward(x, 0.5, 0), np.zeros(3))
     with pytest.raises(ShapeError):
         model.set_params(np.zeros(model.n_params + 1))
+
+
+def test_a_model_given_params_copies_them_and_ignores_its_seed():
+    drawn = random_output(VelocityModel(data_dim=3, num_classes=2, width=8, seed=5))
+    theta = drawn.get_params()
+    model = VelocityModel(data_dim=3, num_classes=2, width=8, seed=6, params=theta)
+    assert model.get_params().tobytes() == theta.tobytes()
+    assert not np.shares_memory(model._flat, theta)
+    assert all(np.shares_memory(w, model._flat) for w in model._p.values())
+    x = np.random.default_rng(4).standard_normal((2, 3))
+    assert np.array_equal(model.forward(x, 0.5, [0, 1]), drawn.forward(x, 0.5, [0, 1]))
+    with pytest.raises(ShapeError, match=f"expected {theta.size} parameters"):
+        VelocityModel(data_dim=3, num_classes=2, width=8, params=theta[:-1])
 
 
 def test_backward_result_survives_a_later_backward():
@@ -640,32 +654,40 @@ def test_trained_injector_darkens_masked_pixels(injector_run):
 # -- checkpoints ----------------------------------------------------------------
 
 
+_META = {"mode": "class_conditional", "data_dim": 2, "task": "two_gaussians"}
+
+
 def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(13)
     params = rng.standard_normal(37)
     ema = rng.standard_normal(37)
     path = tmp_path / "model.fmck"
-    save_checkpoint(path, params, ema)
+    save_checkpoint(path, params, ema, _META)
     loaded_params, loaded_ema = load_checkpoint(path)
     assert np.array_equal(loaded_params, params)
     assert np.array_equal(loaded_ema, ema)
+    meta, _, _ = _read_checkpoint(path)
+    assert meta == {key: str(value) for key, value in _META.items()}
+    assert list(meta) == list(_META)
 
 
 def test_checkpoint_binary_layout(tmp_path):
     path = tmp_path / "model.fmck"
-    save_checkpoint(path, np.array([1.5]), np.array([-2.0]))
+    save_checkpoint(path, np.array([1.5]), np.array([-2.0]), {"task": "x", "width": 4})
     blob = path.read_bytes()
     assert blob[:4] == b"FMCK"
-    assert int.from_bytes(blob[4:8], "little") == 1
+    assert int.from_bytes(blob[4:8], "little") == 2
     assert int.from_bytes(blob[8:16], "little") == 1
-    assert np.frombuffer(blob[16:24], dtype="<f8")[0] == 1.5
-    assert np.frombuffer(blob[24:32], dtype="<f8")[0] == -2.0
-    assert len(blob) == 32
+    assert int.from_bytes(blob[16:20], "little") == 15
+    assert blob[20:35] == b"task=x\nwidth=4\n"
+    assert np.frombuffer(blob[35:43], dtype="<f8")[0] == 1.5
+    assert np.frombuffer(blob[43:51], dtype="<f8")[0] == -2.0
+    assert len(blob) == 51
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
     path = tmp_path / "model.fmck"
-    save_checkpoint(path, np.zeros(4), np.zeros(4))
+    save_checkpoint(path, np.zeros(4), np.zeros(4), _META)
     blob = bytearray(path.read_bytes())
     blob[0] = ord("X")
     bad = tmp_path / "bad.fmck"
@@ -680,17 +702,16 @@ def test_checkpoint_rejects_corruption(tmp_path):
 
 def test_checkpoint_rejects_trailing_bytes(tmp_path):
     path = tmp_path / "model.fmck"
-    save_checkpoint(path, np.zeros(4), np.zeros(4))
+    save_checkpoint(path, np.zeros(4), np.zeros(4), _META)
     padded = tmp_path / "padded.fmck"
     padded.write_bytes(path.read_bytes() + b"garbage")
     with pytest.raises(DomainError, match="trailing bytes"):
         load_checkpoint(padded)
 
 
-
 def test_checkpoint_cut_anywhere_raises_domain_error(tmp_path):
     path = tmp_path / "model.fmck"
-    save_checkpoint(path, np.zeros(4), np.zeros(4))
+    save_checkpoint(path, np.arange(4.0), np.arange(4.0), _META)
     blob = path.read_bytes()
     cut = tmp_path / "cut.fmck"
     for length in range(len(blob)):
@@ -698,22 +719,82 @@ def test_checkpoint_cut_anywhere_raises_domain_error(tmp_path):
         with pytest.raises(DomainError):
             load_checkpoint(cut)
 
+
+def test_checkpoint_padded_anywhere_raises_domain_error(tmp_path):
+    path = tmp_path / "model.fmck"
+    save_checkpoint(path, np.arange(4.0), np.arange(4.0), _META)
+    blob = path.read_bytes()
+    padded = tmp_path / "padded.fmck"
+    for at in range(len(blob) + 1):
+        for byte in (b"\x00", b"\x01", b"=", b"\n"):
+            padded.write_bytes(blob[:at] + byte + blob[at:])
+            with pytest.raises(DomainError):
+                load_checkpoint(padded)
+
+
+def test_checkpoint_version_1_is_unsupported(tmp_path):
+    path = tmp_path / "v1.fmck"
+    path.write_bytes(b"FMCK" + struct.pack("<IQ", 1, 2) + np.zeros(4).tobytes())
+    with pytest.raises(DomainError, match="unsupported checkpoint version 1"):
+        load_checkpoint(path)
+
+
+def _with_meta_block(block: bytes) -> bytes:
+    data = np.zeros(2).tobytes()
+    return b"FMCK" + struct.pack("<IQI", 2, 1, len(block)) + block + data
+
+
+@pytest.mark.parametrize(
+    "block, error",
+    [
+        (b"task=x\nwidth\n", "'width' has no '='"),
+        (b"task=x\n\n", "'' has no '='"),
+        ("task=\u00e9\n".encode(), "not ASCII"),
+    ],
+)
+def test_checkpoint_rejects_a_bad_meta_block(tmp_path, block, error):
+    path = tmp_path / "bad.fmck"
+    path.write_bytes(_with_meta_block(block))
+    with pytest.raises(DomainError, match=error):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_an_empty_meta_block_reads_back(tmp_path):
+    path = tmp_path / "empty.fmck"
+    path.write_bytes(_with_meta_block(b""))
+    assert _read_checkpoint(path)[0] == {}
+
+
+@pytest.mark.parametrize(
+    "meta", [{"a=b": "1"}, {"task": "x\ny"}, {"task": "x\ry"}, {"task": "\u00e9"}]
+)
+def test_save_checkpoint_rejects_meta_that_would_not_read_back(tmp_path, meta):
+    path = tmp_path / "model.fmck"
+    with pytest.raises(DomainError):
+        save_checkpoint(path, np.zeros(1), np.zeros(1), meta)
+    assert not path.exists()
+
+
 # float64 bit patterns: any pattern at all, plus the floats hypothesis favours
 # (NaN, both infinities, subnormals, -0.0).
 _FLOAT64_BITS = st.one_of(
     st.integers(0, 2**64 - 1),
     st.floats().map(lambda f: struct.unpack("<Q", struct.pack("<d", f))[0]),
 )
+# Meta keys and values: printable ASCII, and no '=' in a key.
+_META_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+_META_DICTS = st.dictionaries(_META_TEXT.filter(lambda k: "=" not in k), _META_TEXT)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(_FLOAT64_BITS, max_size=64))
-def test_checkpoint_round_trips_any_float64_bit_exactly(tmp_path_factory, bits):
+@given(st.lists(_FLOAT64_BITS, max_size=64), _META_DICTS)
+def test_checkpoint_round_trips_any_float64_bit_exactly(tmp_path_factory, bits, meta):
     n = len(bits) // 2
     values = np.array(bits[: 2 * n], dtype=np.uint64).view(np.float64)
     params, ema = values[:n], values[n:]
     path = tmp_path_factory.getbasetemp() / "bits.fmck"
-    save_checkpoint(path, params, ema)
+    save_checkpoint(path, params, ema, meta)
     loaded_params, loaded_ema = load_checkpoint(path)
     assert loaded_params.tobytes() == params.tobytes()
     assert loaded_ema.tobytes() == ema.tobytes()
+    assert _read_checkpoint(path)[0] == meta
