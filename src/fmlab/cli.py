@@ -13,6 +13,8 @@ at most _SOLVE_ROWS rows, so a command's cost scales with rows x steps and
 its solver memory does not grow with the number of pairs it writes. Every
 model flag is loaded through _load_task, which requires the checkpoint's meta
 to name the task the flag needs and, where the masks are known, their shape.
+Every command checks all of its flags before it reads a raster or a
+checkpoint.
 
 Outputs other than rasters are built whole, then replaced in one step by
 _files.write_file. _write_records checks every record before any image
@@ -36,8 +38,6 @@ from ._files import write_file
 from .errors import DivergenceError, DomainError, NumericError, ShapeError, TrainingError
 from .manifest import ManifestRecord, check_cell, check_comments, read_manifest, write_manifest
 from .neural import (
-    CLASS_CONDITIONAL,
-    MASK_CONDITIONAL,
     TrainConfig,
     VelocityModel,
     _read_checkpoint,
@@ -96,7 +96,9 @@ def effective_seed(cfg_seed: int) -> int:
 
 # The VelocityModel arguments a checkpoint's meta records first, in order;
 # mask models add mask_height and mask_width, and train adds its extra keys.
-_ARCH_KEYS = ("mode", "data_dim", "width", "hidden_layers", "time_embed_dim", "num_classes")
+# A meta with mask_height is a mask-conditional model's, one without it a
+# class-conditional model's; load_model ignores every key it does not name.
+_ARCH_KEYS = ("data_dim", "width", "hidden_layers", "time_embed_dim", "num_classes")
 
 
 def load_model(checkpoint_path) -> tuple[VelocityModel, dict[str, str]]:
@@ -106,11 +108,10 @@ def load_model(checkpoint_path) -> tuple[VelocityModel, dict[str, str]]:
         mask_shape = None
         if "mask_height" in meta:
             mask_shape = (int(meta["mask_height"]), int(meta["mask_width"]))
-        sizes = {key: int(meta[key]) for key in _ARCH_KEYS[1:]}
-        mode = meta["mode"]
+        sizes = {key: int(meta[key]) for key in _ARCH_KEYS}
     except KeyError as exc:
         raise DomainError(f"{checkpoint_path} has no key {exc}") from None
-    return VelocityModel(mode=mode, mask_shape=mask_shape, params=ema, **sizes), meta
+    return VelocityModel(mask_shape=mask_shape, params=ema, **sizes), meta
 
 
 def _sorted_files(directory) -> list[Path]:
@@ -154,10 +155,10 @@ def _solve_rows(solve, model: VelocityModel, x0: np.ndarray, cond, icfg) -> np.n
 
 def _load_task(flag: str, path, task: str, mask_shape=None) -> tuple[VelocityModel, dict]:
     """Model and meta of the checkpoint at path, given by flag. The meta must
-    name task (and its training mode) and, when mask_shape is given, masks
-    of that shape."""
+    name task, the model must be of the kind task trains (mask-conditional or
+    not) and, when mask_shape is given, take masks of that shape."""
     model, meta = load_model(path)
-    if meta.get("task") != task or model.mode != _TASKS[task][0]:
+    if meta.get("task") != task or (model.mask_shape is not None) != _TASKS[task][0]:
         raise DomainError(f"{flag} {path}: need task={task}, got task={meta.get('task')}")
     if mask_shape not in (None, model.mask_shape):
         raise DomainError(f"{flag} {path}: need {mask_shape} masks, got {model.mask_shape}")
@@ -199,12 +200,13 @@ def _write_records(out_dir: Path, rows, strategy: str, bins, comments, render=No
 
 # -- train ----------------------------------------------------------------------
 
-# Each training task: the model mode it trains and the data keys it requires.
+# Each training task: whether its model is mask-conditional, and the data
+# keys it requires.
 _TASKS = {
-    "two_gaussians": (CLASS_CONDITIONAL, ()),
-    "mask_generator": (CLASS_CONDITIONAL, ("data_masks",)),
-    "image_renderer": (MASK_CONDITIONAL, ("data_masks", "data_images")),
-    "injector": (MASK_CONDITIONAL, ("data_masks", "data_images", "data_backgrounds")),
+    "two_gaussians": (False, ()),
+    "mask_generator": (False, ("data_masks",)),
+    "image_renderer": (True, ("data_masks", "data_images")),
+    "injector": (True, ("data_masks", "data_images", "data_backgrounds")),
 }
 
 # Every key cmd_train reads, over all tasks; any other key is a config error.
@@ -226,7 +228,7 @@ def cmd_train(args) -> int:
     task = cfg.get("task")
     if task not in _TASKS:
         raise DomainError(f"config must set task to a known value, got {task!r}")
-    mode, data_keys = _TASKS[task]
+    mask_conditional, data_keys = _TASKS[task]
     for key in data_keys:
         if key not in cfg:
             raise DomainError(f"task {task} needs config key {key}")
@@ -240,6 +242,9 @@ def cmd_train(args) -> int:
         p_drop=float(cfg.get("p_drop", "0.1")),
         seed=seed,
     )
+    log_every = int(cfg.get("log_every", "50"))
+    if log_every < 1:
+        raise DomainError(f"log_every must be >= 1, got {log_every}")
 
     extra = {"task": task}
     num_classes = 2  # two_gaussians; mask models have no label table
@@ -260,7 +265,7 @@ def cmd_train(args) -> int:
         num_classes = bins.num_classes
         extra["num_classes"] = str(num_classes)
         extra["max_coverage"] = cfg.get("max_coverage", str(_MAX_COVERAGE))
-    elif mode == MASK_CONDITIONAL:
+    elif mask_conditional:
         # Images pair with masks by file name.
         images = []
         for mf in mask_files:
@@ -272,15 +277,13 @@ def cmd_train(args) -> int:
 
     model = VelocityModel(
         data_dim=data_dim,
-        mode=mode,
         num_classes=num_classes,
-        mask_shape=(side, side) if mode == MASK_CONDITIONAL else None,
+        mask_shape=(side, side) if mask_conditional else None,
         width=int(cfg.get("width", "128")),
         hidden_layers=int(cfg.get("hidden_layers", "2")),
         time_embed_dim=int(cfg.get("time_embed_dim", "32")),
         seed=seed,
     )
-    log_every = int(cfg.get("log_every", "50"))
     log = ["step\tloss\n"]
 
     def on_step(step: int, loss: float):
@@ -375,6 +378,7 @@ def cmd_synthesize_crossdomain(args) -> int:
     if not 0.0 <= args.multiplier < math.inf:
         raise DomainError(f"multiplier must be finite and >= 0, got {args.multiplier}")
     icfg = IntegratorConfig(method=args.method, steps=args.ode_steps, cfg_omega=args.cfg_omega)
+    mask_ops._check_fraction(args.fraction)
     target_masks, _ = _load_mask_dir(args.target_masks)
     x_target = len(target_masks)
     n_total = math.ceil(args.multiplier * x_target)
@@ -400,6 +404,8 @@ def cmd_synthesize_crossdomain(args) -> int:
 
 
 def cmd_inject(args) -> int:
+    icfg = IntegratorConfig(method=args.method, steps=args.ode_steps)
+    bins = mask_ops.uniform_bins(args.num_classes, args.max_coverage)
     model, _ = _load_task("--model", args.model, "injector")
     bg_files = _sorted_files(args.backgrounds)
     mask_files = _sorted_files(args.masks)
@@ -418,7 +424,6 @@ def cmd_inject(args) -> int:
     # Each distinct raster is read once, however many pairs use it.
     backgrounds = {p: rasters.load_image(p) for p in dict.fromkeys(b for b, _ in pairs)}
     mask_rasters = {p: rasters.load_mask(p) for p in dict.fromkeys(m for _, m in pairs)}
-    icfg = IntegratorConfig(method=args.method, steps=args.ode_steps)
     h, w = dims = model.mask_shape
     digits = len(str(max(len(pairs) - 1, 1)))
     rows, bg_rows = [], []
@@ -434,7 +439,6 @@ def cmd_inject(args) -> int:
 
     bg_stack = np.array(bg_rows).reshape(len(rows), h * w)
     render = partial(_solve_rows, integrate_from_background, model, bg_stack, icfg=icfg)
-    bins = mask_ops.uniform_bins(args.num_classes, args.max_coverage)
     n = _write_records(Path(args.out), rows, "C_background_injected", bins, notes, render)
     print(f"injected {n} pairs into {args.out} ({len(pairs) - n} skipped)")
     return EXIT_OK
@@ -540,11 +544,23 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_propagate(args) -> int:
+    # Every flag is checked before the first read, the sampling flags too
+    # when there is no --image-model to use them.
+    icfg = IntegratorConfig(method=args.method, steps=args.ode_steps)
+    bins = mask_ops.uniform_bins(args.num_classes, args.max_coverage)
+    preserve = not args.allow_topology_change
+    policy = mask_ops.PropagationPolicy(
+        variants=args.k,
+        max_dilate=args.max_dilate,
+        max_erode=args.max_erode,
+        jitter_px=args.jitter,
+        preserve_connectivity=preserve,
+        seed=args.seed,
+    )
     mask_list, files = _load_mask_dir(args.masks)
     if args.image_model:
         shape = mask_list[0].shape
         image_model, _ = _load_task("--image-model", args.image_model, "image_renderer", shape)
-    preserve = not args.allow_topology_change
 
     rows, render_seeds, skipped = [], [], []
     for i, (m, src) in enumerate(zip(mask_list, files)):
@@ -553,17 +569,9 @@ def cmd_propagate(args) -> int:
             print(f"warning: {msg}", file=sys.stderr)
             skipped.append(msg)
             continue
-        policy = mask_ops.PropagationPolicy(
-            variants=args.k,
-            max_dilate=args.max_dilate,
-            max_erode=args.max_erode,
-            jitter_px=args.jitter,
-            preserve_connectivity=preserve,
-            seed=args.seed + i,
-        )
         if args.image_model:
             render_seeds.extend(_record_seeds(args.seed + i, args.k))
-        for j, variant in enumerate(mask_ops.propagate(m, policy)):
+        for j, variant in enumerate(mask_ops.propagate(m, replace(policy, seed=args.seed + i))):
             provenance = f"base={src.name};variant={j};{variant.provenance}"
             rows.append((f"prop_{i:04d}_{j}", variant.mask, args.seed + i, provenance))
 
@@ -572,17 +580,16 @@ def cmd_propagate(args) -> int:
         # Each variant renders from its own record seed.
         dim = image_model.data_dim
         x0 = np.array([np.random.default_rng(int(s)).standard_normal(dim) for s in render_seeds])
-        icfg = IntegratorConfig(method=args.method, steps=args.ode_steps)
         render = partial(_solve_rows, integrate, image_model, x0, icfg=icfg)
-    bins = mask_ops.uniform_bins(args.num_classes, args.max_coverage)
     n = _write_records(Path(args.out), rows, "B_propagated", bins, skipped, render)
     print(f"propagated {len(files) - len(skipped)} masks into {n} variants")
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
-    mask_list, _ = _load_mask_dir(args.masks)
     bins = mask_ops.uniform_bins(args.num_classes, args.max_coverage)
+    mask_ops._check_fraction(args.fraction)
+    mask_list, _ = _load_mask_dir(args.masks)
     stats = mask_ops.estimate_target_stats(mask_list, args.fraction, bins, seed=args.seed)
     classes = [f"class_{c}\t{float(freq)!r}\n" for c, freq in enumerate(stats.histogram)]
     tail = [f"mean_width\t{stats.mean_width!r}\n", f"n_used\t{stats.n_used}\n"]

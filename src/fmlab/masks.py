@@ -370,6 +370,12 @@ class TargetStats:
         object.__setattr__(self, "histogram", np.asarray(self.histogram, dtype=np.float64))
 
 
+def _check_fraction(fraction: float) -> None:
+    """Reject a subsample fraction outside (0, 1], NaN included."""
+    if not 0.0 < fraction <= 1.0:
+        raise DomainError(f"fraction must lie in (0,1], got {fraction}")
+
+
 def estimate_target_stats(
     masks: list[np.ndarray], fraction: float, bins: CoverageBinning, seed: int = 0
 ) -> TargetStats:
@@ -379,8 +385,7 @@ def estimate_target_stats(
     width summary is foreground area divided by skeleton length (a stroke
     width proxy), averaged over nonempty masks in the subsample.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise DomainError(f"fraction must lie in (0,1], got {fraction}")
+    _check_fraction(fraction)
     if len(masks) == 0:
         raise DomainError("mask sample is empty")
     n_use = math.ceil(fraction * len(masks))

@@ -7,7 +7,8 @@ to the first hidden pre-activation; mask-conditional models additionally
 concatenate the flattened two-channel one-hot mask to the input features.
 Sampling binds a solve's condition once (VelocityModel.bind): it adds the
 precomputed mask term to the first pre-activation without concatenating, and
-reuses z across the rows and evaluations that share it. Everything is
+reuses z across the rows and evaluations that share it. A model is
+mask-conditional exactly when it is built with a mask_shape. Everything is
 float64 numpy and bit-deterministic for a fixed seed.
 """
 from __future__ import annotations
@@ -45,9 +46,6 @@ __all__ = [
 
 CHECKPOINT_MAGIC = b"FMCK"
 CHECKPOINT_VERSION = 2
-
-CLASS_CONDITIONAL = "class_conditional"
-MASK_CONDITIONAL = "mask_conditional"
 
 
 def time_embedding(t, dim: int) -> np.ndarray:
@@ -92,9 +90,11 @@ def _silu_grad(g, h, sig):
 class VelocityModel:
     """Dense velocity network v(x, t, y) with exact manual gradients.
 
-    mode 'class_conditional' embeds integer labels (row num_classes is the
-    reserved null token); mode 'mask_conditional' concatenates the flattened
-    one-hot mask and uses the time embedding alone on the conditioning path.
+    Without mask_shape the model is class-conditional: it embeds integer
+    labels, and row num_classes is the reserved null token. With mask_shape
+    it is mask-conditional: it concatenates the flattened one-hot mask, uses
+    the time embedding alone on the conditioning path and ignores
+    num_classes (recorded as 0).
     The conditioning vector z is added to every hidden pre-activation, so the
     label/time signal reaches each block rather than only the input. None
     always denotes the null condition (null token / all-zeros mask). The
@@ -106,7 +106,6 @@ class VelocityModel:
     def __init__(
         self,
         data_dim: int,
-        mode: str = CLASS_CONDITIONAL,
         num_classes: int = 10,
         mask_shape: tuple[int, int] | None = None,
         width: int = 128,
@@ -115,29 +114,31 @@ class VelocityModel:
         seed: int = 0,
         params: np.ndarray | None = None,
     ):
-        if mode not in (CLASS_CONDITIONAL, MASK_CONDITIONAL):
-            raise DomainError(f"unknown mode {mode!r}")
-        if mode == MASK_CONDITIONAL and mask_shape is None:
-            raise DomainError("mask_conditional mode requires mask_shape")
+        if mask_shape is None:
+            if num_classes < 1:
+                raise DomainError(f"num_classes must be >= 1, got {num_classes}")
+        elif len(mask_shape) != 2 or not all(
+            isinstance(n, (int, np.integer)) and n >= 1 for n in mask_shape
+        ):
+            raise DomainError(f"mask_shape must be two ints >= 1, got {mask_shape}")
         if time_embed_dim <= 0 or time_embed_dim % 2 != 0:
             raise DomainError(f"time_embed_dim must be even and positive, got {time_embed_dim}")
         if data_dim < 1 or width < 1 or hidden_layers < 1:
             raise DomainError("data_dim, width and hidden_layers must be positive")
         self.data_dim = data_dim
-        self.mode = mode
-        self.num_classes = num_classes if mode == CLASS_CONDITIONAL else 0
-        self.mask_shape = tuple(mask_shape) if mask_shape is not None else None
+        self.num_classes = num_classes if mask_shape is None else 0
+        self.mask_shape = None if mask_shape is None else tuple(int(n) for n in mask_shape)
         self.width = width
         self.hidden_layers = hidden_layers
         self.time_embed_dim = time_embed_dim
 
-        cond_dim = 2 * self.mask_shape[0] * self.mask_shape[1] if mode == MASK_CONDITIONAL else 0
+        cond_dim = 0 if mask_shape is None else 2 * self.mask_shape[0] * self.mask_shape[1]
         self.input_dim = data_dim + cond_dim
 
         rng = np.random.default_rng(seed)
         dt, w = time_embed_dim, width
         shapes: list[tuple[str, tuple[int, ...]]] = []
-        if mode == CLASS_CONDITIONAL:
+        if mask_shape is None:
             shapes.append(("emb", (num_classes + 1, dt)))
         shapes += [
             ("wz1", (dt, w)),
@@ -195,7 +196,7 @@ class VelocityModel:
     def _prepare_cond(self, y, batch: int):
         """Normalize y into per-sample label indices or one-hot mask rows; None
         is the null condition, and a single label or mask serves every row."""
-        if self.mode == CLASS_CONDITIONAL:
+        if self.mask_shape is None:
             null_idx = self.num_classes
             labels = np.asarray(null_idx if y is None else y)
             if labels.ndim == 0:
@@ -261,7 +262,7 @@ class VelocityModel:
         pre, the first layer's condition term (mask term plus b_in) that
         replaces concatenating cond to x, and z, the conditioning vector,
         either of which may be one row shared by every row of x."""
-        labels = cond if self.mode == CLASS_CONDITIONAL else None
+        labels = cond if self.mask_shape is None else None
         p = self._p
         e = zh = zh_sig = None
         if z is None:
@@ -302,10 +303,10 @@ class VelocityModel:
         """
         p, d = self._p, self.data_dim
         cond = self._prepare_cond(y, batch)
-        if self.mode == CLASS_CONDITIONAL:
+        if self.mask_shape is None:
             labels, pre = cond, None
             if guided:
-                labels = np.concatenate([labels, np.full(batch, self.num_classes)])
+                labels = np.concatenate([labels, self._prepare_cond(None, batch)])
             table = np.arange(self.num_classes + 1)
         else:
             labels, table = None, None
@@ -360,7 +361,7 @@ class VelocityModel:
         gzh_pre = _silu_grad(gz @ p["wz2"].T, cache["zh"], cache["zh_sig"])
         np.matmul(cache["e"].T, gzh_pre, out=g["wz1"])
         gzh_pre.sum(axis=0, out=g["bz1"])
-        if self.mode == CLASS_CONDITIONAL:
+        if self.mask_shape is None:
             g["emb"][...] = 0.0
             np.add.at(g["emb"], cache["labels"], gzh_pre @ p["wz1"].T)
         return self._gflat
@@ -390,8 +391,8 @@ class VelocityModel:
     def conditioning_vector(self, t: float, y) -> np.ndarray:
         """z = MLP(psi(t) + E(y)), the forward pass's z; class-conditional
         models only."""
-        if self.mode != CLASS_CONDITIONAL:
-            raise DomainError("conditioning_vector requires a class_conditional model")
+        if self.mask_shape is not None:
+            raise DomainError("conditioning_vector requires a class-conditional model")
         z = self._conditioning(np.asarray([t], dtype=np.float64), self._prepare_cond(y, 1))[0]
         return z[0]
 
@@ -418,6 +419,10 @@ class TrainConfig:
             raise DomainError(f"p_drop must lie in [0,1], got {self.p_drop}")
         if not 0.0 <= self.ema_decay < 1.0:
             raise DomainError(f"ema_decay must lie in [0,1), got {self.ema_decay}")
+        if self.steps < 1 or self.batch_size < 1:
+            raise DomainError(
+                f"steps and batch_size must be >= 1, got {self.steps} and {self.batch_size}"
+            )
 
 
 @dataclass
@@ -506,12 +511,14 @@ def _train_loop(
     cond_all, the base batch x0 (N(0, I), or rows of backgrounds when given),
     path noise xi ~ N(0, I), times t ~ U(0, 1) and the dropout flags, which
     set their rows to the null condition. Path noise is drawn whether or not
-    the schedule uses it."""
+    the schedule uses it. cond_all must hold one condition per row of x1_all."""
+    if np.shape(cond_all)[:1] != x1_all.shape[:1]:
+        raise ShapeError(f"{np.shape(cond_all)} conditions for {len(x1_all)} data rows")
     rng = np.random.default_rng(config.seed)
     state = init_train_state(model, config)
     # Adam updates the model's own parameter buffer, so no per-step copy-back.
     state.params = model._flat
-    null = model.num_classes if model.mode == CLASS_CONDITIONAL else 0.0
+    null = model._prepare_cond(None, 1)[0]
     for _ in range(config.steps):
         idx = rng.integers(0, len(x1_all), config.batch_size)
         x1 = x1_all[idx]
@@ -526,9 +533,9 @@ def _train_loop(
             xt, ut = rectified_interpolate(sched, x0, x1, xi, t)
         else:
             xt, ut = interpolate(sched, x0, x1, xi, t), target_velocity(sched, x0, x1, xi, t)
-        y = cond_all[idx]
-        y[drop] = null
-        pred, cache = model._forward_batch(xt, t, model._prepare_cond(y, len(y)))
+        cond = model._prepare_cond(cond_all[idx], config.batch_size)
+        cond[drop] = null
+        pred, cache = model._forward_batch(xt, t, cond)
         diff = pred - ut
         loss = float(np.mean(diff**2))
         if not np.isfinite(loss):
@@ -560,8 +567,7 @@ def train_fm(
         raise ShapeError(f"data must be (N, {model.data_dim}), got {x1_all.shape}")
     if x1_all.shape[0] == 0:
         raise DomainError("dataset is empty")
-    y_all = np.asarray(dataset[1]).astype(np.intp if model.mode == CLASS_CONDITIONAL else np.float64)
-    return _train_loop(model, config, sched, x1_all, y_all, None, callback)
+    return _train_loop(model, config, sched, x1_all, np.asarray(dataset[1]), None, callback)
 
 
 def train_rf_injector(
@@ -588,8 +594,8 @@ def train_rf_injector(
         raise ShapeError("images and masks must pair one-to-one")
     if bgs.shape[0] == 0:
         raise DomainError("no backgrounds")
-    if model.mode != MASK_CONDITIONAL:
-        raise DomainError("train_rf_injector requires a mask_conditional model")
+    if model.mask_shape is None:
+        raise DomainError("train_rf_injector requires a mask-conditional model")
     return _train_loop(model, config, sched, images, mask_arr, bgs, callback)
 
 

@@ -18,7 +18,6 @@ def two_gaussian_run():
     data = toys.two_gaussians(500, seed=1)
     model = nn.VelocityModel(
         data_dim=2,
-        mode=nn.CLASS_CONDITIONAL,
         num_classes=2,
         width=128,
         hidden_layers=2,
@@ -41,7 +40,6 @@ def injector_run():
     images, masks, backgrounds = toys.dark_line_task(n_pairs=200, n_backgrounds=200, side=8, seed=5)
     model = nn.VelocityModel(
         data_dim=64,
-        mode=nn.MASK_CONDITIONAL,
         mask_shape=(8, 8),
         width=128,
         hidden_layers=2,
@@ -63,7 +61,6 @@ def mask_generator_run():
     data = (masks_arr.reshape(len(masks_arr), -1).astype(np.float64), labels)
     model = nn.VelocityModel(
         data_dim=64,
-        mode=nn.CLASS_CONDITIONAL,
         num_classes=2,
         width=128,
         hidden_layers=2,

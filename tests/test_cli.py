@@ -123,10 +123,10 @@ def test_train_two_gaussians_writes_artifacts(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tg.cfg", "tg.fmck", "tg.fmck.log.tsv"]
     meta = _read_checkpoint(out)[0]
     assert list(meta) == [
-        "mode", "data_dim", "width", "hidden_layers", "time_embed_dim", "num_classes", "task"
+        "data_dim", "width", "hidden_layers", "time_embed_dim", "num_classes", "task"
     ]
     assert meta["task"] == "two_gaussians"
-    assert meta["mode"] == "class_conditional"
+    assert cli.load_model(out)[0].mask_shape is None
     log_lines = (tmp_path / "tg.fmck.log.tsv").read_text().splitlines()
     assert log_lines[0] == "step\tloss"
     assert len(log_lines) >= 2
@@ -182,6 +182,23 @@ def test_train_rejects_p_drop_outside_unit_interval(tmp_path, capsys):
     )
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "x.fmck")]) == 2
     assert "p_drop must lie in [0,1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value", [("steps", 0), ("steps", -3), ("batch", 0), ("log_every", 0)]
+)
+def test_train_rejects_a_count_below_one_before_reading_data(
+    workspace, tmp_path, monkeypatch, capsys, key, value
+):
+    monkeypatch.setattr(rasters, "load_pgm", lambda *a: pytest.fail("a raster was read"))
+    cfg = write_config(
+        tmp_path / "m.cfg", task="mask_generator", data_masks=workspace / "masks", resolution=8,
+        width=8, time_embed_dim=4, **{"steps": 5, "batch": 4, key: value},
+    )
+    out = tmp_path / "m.fmck"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_train_missing_data_exits_2(tmp_path, capsys):
@@ -602,7 +619,7 @@ def test_a_version_1_checkpoint_exits_2(workspace, tmp_path, capsys):
     assert "error: unsupported checkpoint version 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["width", "mode", "mask_width"])
+@pytest.mark.parametrize("key", ["width", "data_dim", "mask_width"])
 def test_load_model_names_the_meta_and_its_missing_key(workspace, tmp_path, capsys, key):
     meta, params, ema = _read_checkpoint(workspace / "render.fmck")
     del meta[key]
@@ -610,6 +627,47 @@ def test_load_model_names_the_meta_and_its_missing_key(workspace, tmp_path, caps
     save_checkpoint(ckpt, params, ema, meta)
     assert _propagate_with(workspace, tmp_path, ckpt) == 2
     assert f"error: {ckpt} has no key '{key}'" in capsys.readouterr().err
+
+
+def test_a_checkpoint_whose_meta_still_names_a_mode_loads(workspace, tmp_path):
+    meta, params, ema = _read_checkpoint(workspace / "render.fmck")
+    ckpt = tmp_path / "m.fmck"
+    save_checkpoint(ckpt, params, ema, {"mode": "mask_conditional", **meta})
+    model, _ = cli.load_model(ckpt)
+    assert model.mask_shape == (8, 8)
+    assert np.array_equal(model.get_params(), ema)
+    out = tmp_path / "out"
+    argv = ["propagate", "--masks", str(workspace / "masks"), "--image-model", str(ckpt)]
+    assert main(argv + ["--ode-steps", "2", "--out", str(out)]) == 0
+    assert len(read_manifest(out / "manifest.tsv")[0]) == 3 * len(list((workspace / "masks").iterdir()))
+
+
+def test_a_mask_generator_without_classes_exits_2(workspace, tmp_path, capsys):
+    meta, params, ema = _read_checkpoint(workspace / "mask.fmck")
+    # The label table (num_classes + 1 rows of time_embed_dim) comes first;
+    # keep only its null row, so the parameter count matches num_classes = 0.
+    cut = int(meta["num_classes"]) * int(meta["time_embed_dim"])
+    ckpt = tmp_path / "m.fmck"
+    save_checkpoint(ckpt, params[cut:], ema[cut:], {**meta, "num_classes": 0})
+    out = tmp_path / "out"
+    argv = ["synthesize-indomain", "--real-count", "2", "--mask-model", str(ckpt)]
+    argv += ["--image-model", str(workspace / "render.fmck"), "--ode-steps", "2", "--out", str(out)]
+    assert main(argv) == 2
+    assert "error: num_classes must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_injector_with_a_negative_mask_shape_exits_2(workspace, tmp_path, capsys):
+    meta, params, ema = _read_checkpoint(workspace / "inject.fmck")
+    ckpt = tmp_path / "m.fmck"
+    # (-8) * (-8) keeps the parameter count of an 8x8 injector.
+    save_checkpoint(ckpt, params, ema, {**meta, "mask_height": -8, "mask_width": -8})
+    out = tmp_path / "out"
+    argv = ["inject", "--model", str(ckpt), "--backgrounds", str(workspace / "backgrounds")]
+    argv += ["--masks", str(workspace / "masks"), "--ode-steps", "2", "--out", str(out)]
+    assert main(argv) == 2
+    assert "error: mask_shape must be two ints >= 1, got (-8, -8)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # Each float flag a command takes, with the rest of a command line that works;
@@ -654,6 +712,46 @@ def test_a_nan_max_coverage_exits_2(workspace, tmp_path, capsys, command):
     argv = command.format(ws=workspace).split() + ["--max-coverage", "nan", "--out", str(out)]
     assert main(argv) == 2
     assert "edges must be strictly increasing within [0,1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_INJECT = "inject --model {ws}/inject.fmck --backgrounds {ws}/backgrounds --masks {ws}/masks"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "propagate --masks {ws}/masks --image-model {ws}/render.fmck --ode-steps 0",
+        "propagate --masks {ws}/masks --ode-steps 0",
+        "propagate --masks {ws}/masks --k 0",
+        "propagate --masks {ws}/masks --max-coverage nan",
+        _INJECT + " --ode-steps 0",
+        _INJECT + " --num-classes 0",
+        "stats --masks {ws}/masks --fraction 0",
+        "stats --masks {ws}/masks --max-coverage nan",
+        "synthesize-crossdomain --target-masks {ws}/masks --mask-model {ws}/mask.fmck "
+        "--image-model {ws}/render.fmck --fraction 0",
+    ],
+)
+def test_every_flag_is_checked_before_the_first_read(workspace, tmp_path, monkeypatch, capsys, command):
+    calls = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cli, "load_model")
+    counted(rasters, "load_pgm")
+    counted(cli.mask_ops, "propagate")
+    out = tmp_path / "out"
+    assert main(command.format(ws=workspace).split() + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
     assert not out.exists()
 
 

@@ -12,7 +12,7 @@ from fmlab.rasters import load_mask, save_mask
 def test_crossdomain_synthesis_follows_concentrated_histogram(mask_generator_run, tmp_path):
     model, state = mask_generator_run
     ckpt = tmp_path / "maskgen.fmck"
-    arch = {key: getattr(model, key) for key in ("mode", "data_dim", "width", "hidden_layers")}
+    arch = {key: getattr(model, key) for key in ("data_dim", "width", "hidden_layers")}
     meta = {**arch, "time_embed_dim": model.time_embed_dim, "num_classes": 2}
     meta.update(task="mask_generator", resolution=8, max_coverage=0.75)
     save_checkpoint(ckpt, state.params, state.ema_params, meta)

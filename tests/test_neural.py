@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from fmlab import toys
 from fmlab.errors import DomainError, ShapeError, TrainingError
 from fmlab.neural import (
-    CLASS_CONDITIONAL,
-    MASK_CONDITIONAL,
     TrainConfig,
     TrainState,
     VelocityModel,
@@ -86,9 +84,7 @@ def test_conditioning_vector_label_range_and_mode():
     model = VelocityModel(data_dim=2, num_classes=3, width=16, time_embed_dim=8, seed=1)
     with pytest.raises(DomainError):
         model.conditioning_vector(0.3, 7)
-    mask_model = VelocityModel(
-        data_dim=4, mode=MASK_CONDITIONAL, mask_shape=(2, 2), width=8, seed=0
-    )
+    mask_model = VelocityModel(data_dim=4, mask_shape=(2, 2), width=8, seed=0)
     with pytest.raises(DomainError):
         mask_model.conditioning_vector(0.3, None)
 
@@ -147,13 +143,38 @@ def test_forward_shape_checks():
 
 
 def test_mask_mode_null_equals_empty_mask():
-    model = random_output(
-        VelocityModel(data_dim=4, mode=MASK_CONDITIONAL, mask_shape=(2, 2), width=8, seed=2)
-    )
+    model = random_output(VelocityModel(data_dim=4, mask_shape=(2, 2), width=8, seed=2))
     x = np.random.default_rng(3).standard_normal(4)
     a = model.forward(x, 0.2, None)
     b = model.forward(x, 0.2, np.zeros((2, 2)))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(num_classes=0),
+        dict(num_classes=-2),
+        dict(mask_shape=(-2, -2)),
+        dict(mask_shape=(0, 4)),
+        dict(mask_shape=(2, 2, 1)),
+        dict(mask_shape=(2,)),
+        dict(mask_shape=(2.0, 2)),
+    ],
+    ids=["no_classes", "negative_classes", "negative_shape", "empty_shape", "3d", "1d", "float"],
+)
+def test_constructor_rejects_a_bad_conditioning_shape(kwargs):
+    with pytest.raises(DomainError):
+        VelocityModel(data_dim=4, width=8, seed=0, **kwargs)
+
+
+def test_mask_shape_alone_makes_a_model_mask_conditional():
+    mask_model = VelocityModel(data_dim=4, num_classes=5, mask_shape=(2, 2), width=8, seed=0)
+    assert mask_model.num_classes == 0 and "emb" not in mask_model._p
+    assert mask_model._p["w_in"].shape == (4 + 2 * 4, 8)
+    class_model = VelocityModel(data_dim=4, num_classes=5, width=8, seed=0)
+    assert class_model.mask_shape is None and class_model._p["emb"].shape[0] == 6
+    assert class_model._p["w_in"].shape == (4, 8)
 
 
 # -- flat parameter buffer -------------------------------------------------------
@@ -210,22 +231,22 @@ def test_backward_zero_grad_out():
     assert np.array_equal(g, np.zeros(model.n_params))
 
 
-@pytest.mark.parametrize("mode", [CLASS_CONDITIONAL, MASK_CONDITIONAL])
+@pytest.mark.parametrize("mode", ["class_conditional", "mask_conditional"])
 def test_backward_matches_finite_differences(mode):
     # Central finite-difference oracle over every parameter, h = 1e-5.
     kwargs = (
         dict(num_classes=3, data_dim=2)
-        if mode == CLASS_CONDITIONAL
+        if mode == "class_conditional"
         else dict(mask_shape=(3, 3), data_dim=9)
     )
     model = random_output(
-        VelocityModel(mode=mode, width=8, hidden_layers=3, time_embed_dim=4, seed=5, **kwargs)
+        VelocityModel(width=8, hidden_layers=3, time_embed_dim=4, seed=5, **kwargs)
     )
     rng = np.random.default_rng(3)
     batch = 4
     x = rng.standard_normal((batch, model.data_dim))
     t = rng.random(batch)
-    if mode == CLASS_CONDITIONAL:
+    if mode == "class_conditional":
         y = rng.integers(0, 4, batch)  # includes the null row
     else:
         y = (rng.random((batch, 3, 3)) < 0.4).astype(np.float64)
@@ -515,7 +536,7 @@ def test_train_rf_injector_draws_its_batch_in_the_documented_order(monkeypatch):
     # Row indices, background rows as the base batch, bridge noise, t,
     # dropout flags.
     images, masks, backgrounds = toys.dark_line_task(n_pairs=6, n_backgrounds=4, side=4, seed=7)
-    model = VelocityModel(data_dim=16, mode=MASK_CONDITIONAL, mask_shape=(4, 4), width=8, seed=2)
+    model = VelocityModel(data_dim=16, mask_shape=(4, 4), width=8, seed=2)
     config = TrainConfig(steps=1, batch_size=8, p_drop=0.5, seed=5)
     xt, t, cond = _first_forward_batch(
         monkeypatch,
@@ -565,7 +586,7 @@ def test_train_rf_injector_p_drop_one_sees_only_empty_masks():
     # A dropped mask is all zeros, so the weights reading its foreground
     # channel never receive a gradient.
     images, masks, backgrounds = toys.dark_line_task(n_pairs=4, n_backgrounds=2, side=4, seed=7)
-    model = VelocityModel(data_dim=16, mode=MASK_CONDITIONAL, mask_shape=(4, 4), width=8, seed=2)
+    model = VelocityModel(data_dim=16, mask_shape=(4, 4), width=8, seed=2)
     before = model._p["w_in"].copy()
     train_rf_injector(
         model,
@@ -590,8 +611,24 @@ def test_train_fm_rejects_empty_dataset():
         )
 
 
+@pytest.mark.parametrize("n_labels", [5, 40])
+def test_train_fm_rejects_labels_that_do_not_pair_with_the_rows(n_labels):
+    model = VelocityModel(data_dim=2, num_classes=2, width=8, seed=1)
+    x1, _ = toys.two_gaussians(10, seed=3)
+    with pytest.raises(ShapeError):
+        train_fm(model, (x1, np.zeros(n_labels, dtype=np.intp)), linear_schedule(), TrainConfig(steps=1))
+
+
+@pytest.mark.parametrize(
+    "kwargs", [dict(steps=0), dict(steps=-3), dict(batch_size=0)], ids=["steps0", "steps-3", "batch0"]
+)
+def test_train_config_rejects_counts_below_one(kwargs):
+    with pytest.raises(DomainError):
+        TrainConfig(**kwargs)
+
+
 def test_train_rf_injector_rejects_empty_pairs():
-    model = VelocityModel(data_dim=4, mode=MASK_CONDITIONAL, mask_shape=(2, 2), width=8, seed=1)
+    model = VelocityModel(data_dim=4, mask_shape=(2, 2), width=8, seed=1)
     with pytest.raises(DomainError, match="no training pairs"):
         train_rf_injector(
             model,
@@ -605,7 +642,7 @@ def test_train_rf_injector_rejects_empty_pairs():
 def test_train_rf_injector_overfits_single_pair():
     # One crack pair: block-averaged loss must fall monotonically within 500 steps.
     images, masks, backgrounds = toys.dark_line_task(n_pairs=1, n_backgrounds=1, side=4, seed=7)
-    model = VelocityModel(data_dim=16, mode=MASK_CONDITIONAL, mask_shape=(4, 4), width=32, seed=2)
+    model = VelocityModel(data_dim=16, mask_shape=(4, 4), width=32, seed=2)
     losses = []
     train_rf_injector(
         model,

@@ -112,7 +112,7 @@ def test_velocity_shape_mismatch_detected():
 
 
 def test_zero_velocity_model_returns_background():
-    model = VelocityModel(data_dim=16, mode="mask_conditional", mask_shape=(4, 4), width=8, seed=0)
+    model = VelocityModel(data_dim=16, mask_shape=(4, 4), width=8, seed=0)
     background = np.random.default_rng(1).uniform(0, 1, 16)
     mask = np.zeros((4, 4), dtype=np.uint8)
     mask[2, 1] = 1
@@ -121,7 +121,7 @@ def test_zero_velocity_model_returns_background():
 
 
 def test_background_shape_checks():
-    model = VelocityModel(data_dim=16, mode="mask_conditional", mask_shape=(4, 4), width=8, seed=0)
+    model = VelocityModel(data_dim=16, mask_shape=(4, 4), width=8, seed=0)
     with pytest.raises(ShapeError):
         integrate_from_background(model, np.zeros(9), np.zeros((4, 4)), IntegratorConfig())
     with pytest.raises(ShapeError):
@@ -151,7 +151,7 @@ def test_trajectory_independent_of_y_for_unconditional_field():
 @pytest.mark.parametrize("method", ["euler", "heun"])
 def test_batched_injection_matches_per_row_solves(method):
     # Random weights, so the velocity depends on every row's background and mask.
-    model = VelocityModel(data_dim=16, mode="mask_conditional", mask_shape=(4, 4), width=8, seed=0)
+    model = VelocityModel(data_dim=16, mask_shape=(4, 4), width=8, seed=0)
     rng = np.random.default_rng(2)
     model.set_params(rng.normal(0.0, 0.5, model.get_params().shape))
     backgrounds = rng.uniform(0.0, 1.0, (7, 16))
@@ -193,9 +193,8 @@ def _two_call_integrate(model, x0, y, config):
 
 def _random_model(mode, seed=0):
     """A 4x4 model with random weights everywhere, so every input matters."""
-    model = VelocityModel(
-        data_dim=16, mode=mode, num_classes=3, mask_shape=(4, 4), width=8, hidden_layers=3, seed=seed
-    )
+    kind = dict(num_classes=3) if mode == "class_conditional" else dict(mask_shape=(4, 4))
+    model = VelocityModel(data_dim=16, width=8, hidden_layers=3, seed=seed, **kind)
     model.set_params(np.random.default_rng(seed + 1).normal(0.0, 0.5, model.n_params))
     return model
 
