@@ -13,11 +13,18 @@ at most _SOLVE_ROWS rows, so a command's cost scales with rows x steps and
 its solver memory does not grow with the number of pairs it writes. Every
 model flag is loaded through _load_task, which requires the checkpoint's meta
 to name the task the flag needs and, where the masks are known, their shape.
-Every command checks all of its flags before it reads a raster or a
-checkpoint.
 
-Outputs other than rasters are built whole, then replaced in one step by
-_files.write_file. _write_records checks every record before any image
+Every setting is checked where it is built, and it is built before the
+first read of a raster or a checkpoint: main builds the flag groups that
+commands share (args.icfg from the sampling flags, args.bins from the
+binning flags) and checks --fraction before it runs the command, and
+cmd_train builds its TrainConfig, schedule and VelocityModel from the
+config before it loads any data.
+
+Outputs other than rasters are built whole, then replaced by
+_files.write_file, which stages the files a command writes together (the
+checkpoint and its log; evaluate's --out and --report) and renames them only
+once all are written. _write_records checks every record before any image
 solve or raster write, and writes its manifest last.
 """
 from __future__ import annotations
@@ -129,11 +136,18 @@ def _load_mask_dir(directory) -> tuple[list[np.ndarray], list[Path]]:
     return [rasters.load_mask(p) for p in files], files
 
 
-def _bins_from(cfg: dict[str, str]):
+def _bins_from(cfg: dict):
     """Coverage binning named by a config or a checkpoint's meta, with the defaults."""
     num_classes = int(cfg.get("num_classes", _NUM_CLASSES))
     max_coverage = float(cfg.get("max_coverage", _MAX_COVERAGE))
     return mask_ops.uniform_bins(num_classes, max_coverage)
+
+
+def _coverage_classes(masks, bins) -> np.ndarray:
+    """assign_class(coverage(m), bins) for each m of masks, valid 0/1 rasters,
+    without coverage's check and copy."""
+    idx = np.searchsorted(bins.edges, [m.mean() for m in masks], side="right") - 1
+    return idx.clip(0, bins.num_classes - 1)
 
 
 def _record_seeds(base_seed: int, count: int) -> np.ndarray:
@@ -171,9 +185,8 @@ def _write_records(out_dir: Path, rows, strategy: str, bins, comments, render=No
     render, when given, maps the stack of row masks to one image per row,
     written as images/<stem>.pgm. Every record and comment is checked before
     render runs, and the manifest is written last, so a rejected one costs
-    no ODE solve and leaves no output. Row masks are valid 0/1 rasters, so
-    each class is assign_class(coverage(mask)) without coverage's copy."""
-    classes = np.searchsorted(bins.edges, [row[1].mean() for row in rows], side="right") - 1
+    no ODE solve and leaves no output."""
+    classes = _coverage_classes([row[1] for row in rows], bins)
     records = [
         ManifestRecord(
             image_path="" if render is None else f"images/{stem}.pgm",
@@ -183,7 +196,7 @@ def _write_records(out_dir: Path, rows, strategy: str, bins, comments, render=No
             seed=int(seed),
             provenance=provenance,
         )
-        for (stem, _, seed, provenance), c in zip(rows, classes.clip(0, bins.num_classes - 1))
+        for (stem, _, seed, provenance), c in zip(rows, classes)
     ]
     check_comments(comments)
     images = render(np.stack([row[1] for row in rows])) if render and rows else [None] * len(rows)
@@ -209,62 +222,61 @@ _TASKS = {
     "injector": (True, ("data_masks", "data_images", "data_backgrounds")),
 }
 
-# Every key cmd_train reads, over all tasks; any other key is a config error.
-_TRAIN_KEYS = frozenset(
-    (
-        "task", "seed", "resolution", "width", "hidden_layers", "time_embed_dim",
-        "steps", "batch", "lr", "ema_decay", "p_drop", "log_every",
-        "n_per_class", "num_classes", "max_coverage", "sigma",
-        "data_masks", "data_images", "data_backgrounds",
-    )
-)
+# Every key cmd_train reads besides task and the data keys, with its default;
+# a config value parses as its default's type. Any other key is an error.
+_TRAIN_DEFAULTS = {
+    "seed": 0, "resolution": 16, "width": 128, "hidden_layers": 2, "time_embed_dim": 32,
+    "steps": 1000, "batch": 64, "lr": 1e-3, "ema_decay": 0.9999, "p_drop": 0.1,
+    "log_every": 50, "n_per_class": 500, "num_classes": _NUM_CLASSES,
+    "max_coverage": _MAX_COVERAGE, "sigma": 0.1,
+}
 
 
 def cmd_train(args) -> int:
-    cfg = parse_config(args.config)
-    unknown = sorted(set(cfg) - _TRAIN_KEYS)
+    cfg = {**_TRAIN_DEFAULTS, **parse_config(args.config)}
+    task = cfg.pop("task", None)
+    unknown = sorted(set(cfg) - {*_TRAIN_DEFAULTS, *_TASKS["injector"][1]})  # every data key
     if unknown:
         raise DomainError(f"unknown config key {', '.join(unknown)}")
-    task = cfg.get("task")
     if task not in _TASKS:
         raise DomainError(f"config must set task to a known value, got {task!r}")
     mask_conditional, data_keys = _TASKS[task]
     for key in data_keys:
         if key not in cfg:
             raise DomainError(f"task {task} needs config key {key}")
-    seed = effective_seed(int(cfg.get("seed", "0")))
-    side = int(cfg.get("resolution", "16"))
-    tcfg = TrainConfig(
-        steps=int(cfg.get("steps", "1000")),
-        batch_size=int(cfg.get("batch", "64")),
-        lr=float(cfg.get("lr", "1e-3")),
-        ema_decay=float(cfg.get("ema_decay", "0.9999")),
-        p_drop=float(cfg.get("p_drop", "0.1")),
-        seed=seed,
-    )
-    log_every = int(cfg.get("log_every", "50"))
+    cfg.update({key: type(default)(cfg[key]) for key, default in _TRAIN_DEFAULTS.items()})
+
+    # Every setting is built, and so checked, before any data is read.
+    seed = effective_seed(cfg["seed"])
+    side, log_every = cfg["resolution"], cfg["log_every"]
+    rates = {key: cfg[key] for key in ("lr", "ema_decay", "p_drop")}
+    tcfg = TrainConfig(steps=cfg["steps"], batch_size=cfg["batch"], seed=seed, **rates)
     if log_every < 1:
         raise DomainError(f"log_every must be >= 1, got {log_every}")
-
-    extra = {"task": task}
+    extra = {"task": task} if task == "two_gaussians" else {"task": task, "resolution": side}
     num_classes = 2  # two_gaussians; mask models have no label table
+    if task == "mask_generator":
+        bins = _bins_from(cfg)
+        num_classes = bins.num_classes
+        extra["max_coverage"] = cfg["max_coverage"]
+    sched = linear_schedule()
+    if task == "injector":
+        sched = rectified_schedule(cfg["sigma"])
+        extra["sigma"] = cfg["sigma"]
+    data_dim = 2 if task == "two_gaussians" else side * side
+    mask_shape = (side, side) if mask_conditional else None
+    sizes = {key: cfg[key] for key in ("width", "hidden_layers", "time_embed_dim")}
+    model = VelocityModel(data_dim, num_classes, mask_shape, seed=seed, **sizes)
+
     if task == "two_gaussians":
-        data_dim = 2
-        data = toys.two_gaussians(int(cfg.get("n_per_class", "500")), seed=seed + 1)
+        data = toys.two_gaussians(cfg["n_per_class"], seed=seed + 1)
     else:
-        data_dim = side * side
         mask_list, mask_files = _load_mask_dir(cfg["data_masks"])
         masks = np.stack(mask_list)
         if masks.shape[1:] != (side, side):
             raise ShapeError(f"masks are {masks.shape[1:]}, config resolution is {side}")
-        extra["resolution"] = str(side)
     if task == "mask_generator":
-        bins = _bins_from(cfg)
-        labels = [mask_ops.assign_class(mask_ops.coverage(m), bins) for m in mask_list]
-        data = (masks.reshape(len(masks), -1).astype(np.float64), np.asarray(labels, dtype=np.intp))
-        num_classes = bins.num_classes
-        extra["num_classes"] = str(num_classes)
-        extra["max_coverage"] = cfg.get("max_coverage", str(_MAX_COVERAGE))
+        data = (masks.reshape(len(masks), -1).astype(np.float64), _coverage_classes(masks, bins))
     elif mask_conditional:
         # Images pair with masks by file name.
         images = []
@@ -275,15 +287,6 @@ def cmd_train(args) -> int:
             images.append(rasters.load_image(img_path).reshape(-1))
         data = (np.stack(images), masks.astype(np.float64))
 
-    model = VelocityModel(
-        data_dim=data_dim,
-        num_classes=num_classes,
-        mask_shape=(side, side) if mask_conditional else None,
-        width=int(cfg.get("width", "128")),
-        hidden_layers=int(cfg.get("hidden_layers", "2")),
-        time_embed_dim=int(cfg.get("time_embed_dim", "32")),
-        seed=seed,
-    )
     log = ["step\tloss\n"]
 
     def on_step(step: int, loss: float):
@@ -293,18 +296,17 @@ def cmd_train(args) -> int:
     if task == "injector":
         bg_files = _sorted_files(cfg["data_backgrounds"])
         backgrounds = np.stack([rasters.load_image(p).reshape(-1) for p in bg_files])
-        extra["sigma"] = cfg.get("sigma", "0.1")
-        sched = rectified_schedule(float(extra["sigma"]))
         state = train_rf_injector(model, data, backgrounds, sched, tcfg, callback=on_step)
     else:
-        state = train_fm(model, data, linear_schedule(), tcfg, callback=on_step)
+        state = train_fm(model, data, sched, tcfg, callback=on_step)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     meta = {key: getattr(model, key) for key in _ARCH_KEYS}
     if model.mask_shape is not None:
         meta["mask_height"], meta["mask_width"] = model.mask_shape
-    save_checkpoint(out, state.params, state.ema_params, {**meta, **extra})
-    write_file(str(out) + ".log.tsv", log)
+    # The log is renamed first, so a failed write leaves the previous checkpoint.
+    log_file = (str(out) + ".log.tsv", log)
+    save_checkpoint(out, state.params, state.ema_params, {**meta, **extra}, log_file)
     print(f"wrote checkpoint {out} ({state.step} steps)")
     return EXIT_OK
 
@@ -314,7 +316,6 @@ def cmd_train(args) -> int:
 
 def _synthesize(
     args,
-    icfg: IntegratorConfig,
     mask_model: VelocityModel,
     mask_meta: dict[str, str],
     n_total: int,
@@ -325,7 +326,7 @@ def _synthesize(
 ) -> None:
     """Sample n_total masks from mask_model with classes drawn from
     class_probs, render an image for each with args.image_model (both solves
-    follow icfg), and write the pairs under args.out with comment lines header."""
+    follow args.icfg), and write the pairs under args.out with comment lines header."""
     side = int(mask_meta["resolution"])
     image_model, _ = _load_task("--image-model", args.image_model, "image_renderer", (side, side))
     seeds = _record_seeds(args.seed, n_total)
@@ -340,7 +341,7 @@ def _synthesize(
         labels[i] = rng.choice(len(class_probs), p=class_probs)
         x0[i] = rng.standard_normal(side * side)
         image_x0[i] = rng.standard_normal(image_model.data_dim)
-    sampled = _solve_rows(integrate, mask_model, x0, labels, icfg)
+    sampled = _solve_rows(integrate, mask_model, x0, labels, args.icfg)
     mask_stack = (sampled >= 0.5).astype(np.uint8).reshape(n_total, side, side)
 
     if perturb:
@@ -357,7 +358,7 @@ def _synthesize(
         (f"{prefix}_{i:0{digits}d}", m, s, f"{prefix};requested_class={c}{tag}")
         for i, (m, s, c) in enumerate(zip(mask_stack, seeds, labels))
     ]
-    render = partial(_solve_rows, integrate, image_model, image_x0, icfg=icfg)
+    render = partial(_solve_rows, integrate, image_model, image_x0, icfg=args.icfg)
     n = _write_records(Path(args.out), rows, "A_mask_gen", _bins_from(mask_meta), header, render)
     print(f"synthesized {n} pairs into {args.out}")
 
@@ -366,19 +367,16 @@ def cmd_synthesize_indomain(args) -> int:
     if args.k < 1 or args.real_count < 0:
         raise DomainError(f"need k >= 1 and real-count >= 0, got {args.k} and {args.real_count}")
     n_total = args.k * args.real_count
-    icfg = IntegratorConfig(method=args.method, steps=args.ode_steps, cfg_omega=args.cfg_omega)
     mask_model, mask_meta = _load_task("--mask-model", args.mask_model, "mask_generator")
     class_probs = np.full(mask_model.num_classes, 1.0 / mask_model.num_classes)
     header = [f"policy=indomain x={args.real_count} k={args.k} total={n_total}"]
-    _synthesize(args, icfg, mask_model, mask_meta, n_total, class_probs, "indomain", header)
+    _synthesize(args, mask_model, mask_meta, n_total, class_probs, "indomain", header)
     return EXIT_OK
 
 
 def cmd_synthesize_crossdomain(args) -> int:
     if not 0.0 <= args.multiplier < math.inf:
         raise DomainError(f"multiplier must be finite and >= 0, got {args.multiplier}")
-    icfg = IntegratorConfig(method=args.method, steps=args.ode_steps, cfg_omega=args.cfg_omega)
-    mask_ops._check_fraction(args.fraction)
     target_masks, _ = _load_mask_dir(args.target_masks)
     x_target = len(target_masks)
     n_total = math.ceil(args.multiplier * x_target)
@@ -397,15 +395,11 @@ def cmd_synthesize_crossdomain(args) -> int:
         "histogram=" + ",".join(repr(float(v)) for v in stats.histogram),
         f"mean_width={repr(stats.mean_width)}",
     ]
-    _synthesize(
-        args, icfg, model, meta, n_total, stats.histogram, "crossdomain", header, args.perturb
-    )
+    _synthesize(args, model, meta, n_total, stats.histogram, "crossdomain", header, args.perturb)
     return EXIT_OK
 
 
 def cmd_inject(args) -> int:
-    icfg = IntegratorConfig(method=args.method, steps=args.ode_steps)
-    bins = mask_ops.uniform_bins(args.num_classes, args.max_coverage)
     model, _ = _load_task("--model", args.model, "injector")
     bg_files = _sorted_files(args.backgrounds)
     mask_files = _sorted_files(args.masks)
@@ -438,8 +432,8 @@ def cmd_inject(args) -> int:
         bg_rows.append(backgrounds[bg_path])
 
     bg_stack = np.array(bg_rows).reshape(len(rows), h * w)
-    render = partial(_solve_rows, integrate_from_background, model, bg_stack, icfg=icfg)
-    n = _write_records(Path(args.out), rows, "C_background_injected", bins, notes, render)
+    render = partial(_solve_rows, integrate_from_background, model, bg_stack, icfg=args.icfg)
+    n = _write_records(Path(args.out), rows, "C_background_injected", args.bins, notes, render)
     print(f"injected {n} pairs into {args.out} ({len(pairs) - n} skipped)")
     return EXIT_OK
 
@@ -532,10 +526,11 @@ def cmd_evaluate(args) -> int:
         report["fid"] = metrics.fid(real, syn)
         report["kid_x1000"] = 1000.0 * metrics.kid(real, syn)
     report.update(miou=miou, f1=mf1)
-    table = [f"{name}\t{i_val!r}\t{f_val!r}\n" for name, i_val, f_val in rows]
-    write_file(args.out, ["file\tiou\tf1\n", *table, f"__mean__\t{miou!r}\t{mf1!r}\n"])
-    if args.report:
-        metrics.write_metric_report(args.report, report)
+    body = [f"{name}\t{i_val!r}\t{f_val!r}\n" for name, i_val, f_val in rows]
+    table = ["file\tiou\tf1\n", *body, f"__mean__\t{miou!r}\t{mf1!r}\n"]
+    # Both files are written before either is renamed.
+    report_file = [(args.report, metrics._metric_report(report))] if args.report else []
+    write_file(args.out, table, *report_file)
     print(f"evaluated {len(rows)} pairs: mIoU={miou:.4f} F1={mf1:.4f}")
     return EXIT_OK
 
@@ -544,10 +539,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_propagate(args) -> int:
-    # Every flag is checked before the first read, the sampling flags too
-    # when there is no --image-model to use them.
-    icfg = IntegratorConfig(method=args.method, steps=args.ode_steps)
-    bins = mask_ops.uniform_bins(args.num_classes, args.max_coverage)
     preserve = not args.allow_topology_change
     policy = mask_ops.PropagationPolicy(
         variants=args.k,
@@ -580,17 +571,15 @@ def cmd_propagate(args) -> int:
         # Each variant renders from its own record seed.
         dim = image_model.data_dim
         x0 = np.array([np.random.default_rng(int(s)).standard_normal(dim) for s in render_seeds])
-        render = partial(_solve_rows, integrate, image_model, x0, icfg=icfg)
-    n = _write_records(Path(args.out), rows, "B_propagated", bins, skipped, render)
+        render = partial(_solve_rows, integrate, image_model, x0, icfg=args.icfg)
+    n = _write_records(Path(args.out), rows, "B_propagated", args.bins, skipped, render)
     print(f"propagated {len(files) - len(skipped)} masks into {n} variants")
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
-    bins = mask_ops.uniform_bins(args.num_classes, args.max_coverage)
-    mask_ops._check_fraction(args.fraction)
     mask_list, _ = _load_mask_dir(args.masks)
-    stats = mask_ops.estimate_target_stats(mask_list, args.fraction, bins, seed=args.seed)
+    stats = mask_ops.estimate_target_stats(mask_list, args.fraction, args.bins, seed=args.seed)
     classes = [f"class_{c}\t{float(freq)!r}\n" for c, freq in enumerate(stats.histogram)]
     tail = [f"mean_width\t{stats.mean_width!r}\n", f"n_used\t{stats.n_used}\n"]
     write_file(args.out, ["key\tvalue\n", *classes, *tail])
@@ -680,10 +669,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    flags = vars(args)
     # DomainError and ShapeError are ValueErrors, so they exit 2 here too.
     try:
-        if "seed" in vars(args):
+        # The flag groups commands share are built, and so checked, once and
+        # before the command reads anything.
+        if "seed" in flags:
             args.seed = effective_seed(args.seed)
+        if "ode_steps" in flags:
+            args.icfg = IntegratorConfig(args.method, args.ode_steps, flags.get("cfg_omega"))
+        if "num_classes" in flags:
+            args.bins = mask_ops.uniform_bins(args.num_classes, args.max_coverage)
+        if "fraction" in flags:
+            mask_ops._check_fraction(args.fraction)
         return args.fn(args)
     except (OSError, KeyError, ValueError, DivergenceError, TrainingError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -283,7 +283,11 @@ def load_feature_set_tsv(path) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
+def _metric_report(values: dict[str, float]) -> tuple[str, str]:
+    """The header and the one row of a metric report."""
+    return "\t".join(values) + "\n", "\t".join(repr(float(v)) for v in values.values()) + "\n"
+
+
 def write_metric_report(path, values: dict[str, float]) -> None:
     """Single-row TSV with named metric columns (e.g. fid, kid_x1000, miou, f1)."""
-    row = "\t".join(repr(float(v)) for v in values.values())
-    write_file(path, ("\t".join(values) + "\n", row + "\n"))
+    write_file(path, _metric_report(values))

@@ -415,6 +415,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not 0.0 <= self.lr < np.inf:
+            raise DomainError(f"lr must be finite and >= 0, got {self.lr}")
         if not 0.0 <= self.p_drop <= 1.0:
             raise DomainError(f"p_drop must lie in [0,1], got {self.p_drop}")
         if not 0.0 <= self.ema_decay < 1.0:
@@ -616,10 +618,12 @@ def _parse_meta(block: bytes) -> dict[str, str]:
     return dict(line.split("=", 1) for line in lines)
 
 
-def save_checkpoint(path, params: np.ndarray, ema_params: np.ndarray, meta) -> None:
+def save_checkpoint(path, params: np.ndarray, ema_params: np.ndarray, meta, *before) -> None:
     """Write the flat little-endian checkpoint: magic, version, count, the
     meta block's length, the meta block (a key=value line per item of meta,
-    which must read back as itself), params, ema."""
+    which must read back as itself), params, ema. Each (path, chunks) pair
+    of before is staged with it and renamed ahead of it (see write_file), so
+    a failure on any of them leaves the previous checkpoint."""
     params = np.ascontiguousarray(params, dtype="<f8")
     ema_params = np.ascontiguousarray(ema_params, dtype="<f8")
     if params.shape != ema_params.shape or params.ndim != 1:
@@ -629,7 +633,8 @@ def save_checkpoint(path, params: np.ndarray, ema_params: np.ndarray, meta) -> N
     if _parse_meta(text.encode()) != meta:
         raise DomainError(f"checkpoint meta {meta!r} does not read back as key=value lines")
     header = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, params.size, len(text))
-    write_file(path, (header, text, params, ema_params))
+    first, *rest = (*before, (path, (header, text, params, ema_params)))
+    write_file(*first, *rest)
 
 
 def _read_checkpoint(path) -> tuple[dict[str, str], np.ndarray, np.ndarray]:

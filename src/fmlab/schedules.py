@@ -39,13 +39,14 @@ class PathSchedule:
 
 @dataclass(frozen=True)
 class RectifiedSchedule:
-    """Rectifying time warp phi(t) = t^2 with noise amplitude sigma >= 0."""
+    """Rectifying time warp phi(t) = t^2 with finite noise amplitude sigma >= 0."""
 
     sigma: float = 0.0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise DomainError(f"sigma must be nonnegative, got {self.sigma}")
+        # Negated, so that a NaN sigma fails the check like an infinite one.
+        if not 0.0 <= self.sigma < np.inf:
+            raise DomainError(f"sigma must be finite and >= 0, got {self.sigma}")
 
     @staticmethod
     def phi(t):

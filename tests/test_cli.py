@@ -1,10 +1,15 @@
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmlab import cli, rasters, toys
 from fmlab.cli import main, parse_config, split_counts
 from fmlab.errors import DivergenceError, DomainError, NumericError, TrainingError
-from fmlab.masks import PropagationPolicy, propagate
+from fmlab.masks import PropagationPolicy, assign_class, coverage, propagate, uniform_bins
 from fmlab.sampler import IntegratorConfig
 from fmlab.manifest import ManifestRecord, read_manifest, validate_manifest, write_manifest
 from fmlab.neural import _read_checkpoint, save_checkpoint
@@ -185,20 +190,55 @@ def test_train_rejects_p_drop_outside_unit_interval(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("steps", 0), ("steps", -3), ("batch", 0), ("log_every", 0)]
+    "key, value",
+    [
+        ("steps", 0), ("steps", -3), ("batch", 0), ("log_every", 0),
+        ("width", 0), ("hidden_layers", 0), ("time_embed_dim", 3), ("resolution", 0),
+        ("sigma", -1), ("sigma", "nan"), ("sigma", "inf"),
+        ("lr", -1), ("lr", "nan"), ("lr", "inf"),
+    ],
 )
-def test_train_rejects_a_count_below_one_before_reading_data(
+def test_train_rejects_a_bad_setting_before_reading_data(
     workspace, tmp_path, monkeypatch, capsys, key, value
 ):
     monkeypatch.setattr(rasters, "load_pgm", lambda *a: pytest.fail("a raster was read"))
     cfg = write_config(
-        tmp_path / "m.cfg", task="mask_generator", data_masks=workspace / "masks", resolution=8,
-        width=8, time_embed_dim=4, **{"steps": 5, "batch": 4, key: value},
+        tmp_path / "i.cfg", task="injector", data_masks=workspace / "masks",
+        data_images=workspace / "images", data_backgrounds=workspace / "backgrounds",
+        **{"resolution": 8, "width": 8, "time_embed_dim": 4, "steps": 5, "batch": 4, key: value},
     )
-    out = tmp_path / "m.fmck"
+    out = tmp_path / "i.fmck"
     assert main(["train", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_readme_train_key_table_matches_the_train_defaults():
+    lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| key | default | meaning |") + 2
+    table = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        key, default, _ = (cell.strip() for cell in line.strip("|").split("|"))
+        table[key.strip("`")] = default
+    required = {"task", *cli._TASKS["injector"][1]}  # the injector needs every data key
+    assert set(table) == required | set(cli._TRAIN_DEFAULTS)
+    assert all(table[key].startswith("required") for key in required)
+    assert {key: type(d)(table[key]) for key, d in cli._TRAIN_DEFAULTS.items()} == cli._TRAIN_DEFAULTS
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 12), st.data())
+def test_coverage_classes_equal_assign_class_of_coverage(h, w, num_classes, data):
+    # Every coverage c/n of an h x w mask. The edges lie on multiples of
+    # step/n, so some coverages fall exactly on an edge, and those above
+    # num_classes*step/n lie above max_coverage.
+    n = h * w
+    step = data.draw(st.integers(1, n))
+    bins = uniform_bins(num_classes, min(1.0, num_classes * step / n))
+    masks = np.stack([(np.arange(n) < c).astype(np.uint8).reshape(h, w) for c in range(n + 1)])
+    want = [assign_class(coverage(m), bins) for m in masks]
+    assert cli._coverage_classes(masks, bins).tolist() == want
+    assert cli._coverage_classes(list(masks), bins).tolist() == want
 
 
 def test_train_missing_data_exits_2(tmp_path, capsys):

@@ -128,6 +128,35 @@ def test_out_naming_a_directory_leaves_no_temp_file(tmp_path, capsys):
     assert list(tmp_path.rglob("*.tmp")) == []
 
 
+def test_staged_files_are_all_written_before_the_first_rename(tmp_path):
+    first, second = tmp_path / "first.tsv", tmp_path / "missing" / "second.tsv"
+    first.write_bytes(b"old\n")
+    with pytest.raises(FileNotFoundError):
+        write_file(first, ["new\n"], (second, ["new\n"]))
+    assert first.read_bytes() == b"old\n"
+    assert list(tmp_path.iterdir()) == [first]
+
+
+def test_evaluate_with_an_unwritable_report_leaves_no_table(tmp_path, capsys):
+    masks = _masks(tmp_path)
+    argv = ["evaluate", "--pred", masks, "--gt", masks, "--out", tmp_path / "eval.tsv"]
+    assert main([str(a) for a in argv + ["--report", tmp_path / "missing" / "report.tsv"]]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "eval.tsv").exists()
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_train_whose_log_cannot_be_written_leaves_the_previous_checkpoint(tmp_path, capsys):
+    _train(tmp_path, 0)
+    before = (tmp_path / "m.fmck").read_bytes()
+    (tmp_path / "m.fmck.log.tsv").unlink()
+    (tmp_path / "m.fmck.log.tsv").mkdir()
+    with pytest.raises(OSError):
+        _train(tmp_path, 1)
+    assert (tmp_path / "m.fmck").read_bytes() == before
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
 # -- one module decides how a file reaches disk -------------------------------------
 
 SRC = Path(fmlab.__file__).parent

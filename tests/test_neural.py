@@ -564,6 +564,13 @@ def test_train_config_rejects_p_drop_outside_unit_interval(p_drop):
         TrainConfig(p_drop=p_drop)
 
 
+@pytest.mark.parametrize("lr", [-1.0, float("nan"), float("inf")])
+def test_train_config_rejects_a_negative_or_non_finite_lr(lr):
+    with pytest.raises(DomainError, match="lr must be finite and >= 0"):
+        TrainConfig(lr=lr)
+    assert TrainConfig(lr=0.0).lr == 0.0
+
+
 @pytest.mark.parametrize(
     "p_drop, frozen, trained", [(1.0, slice(0, 2), slice(2, 3)), (0.0, slice(2, 3), slice(0, 2))]
 )

@@ -160,6 +160,12 @@ def test_rectified_schedule_rejects_negative_sigma():
         rectified_schedule(-0.1)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_rectified_schedule_rejects_a_non_finite_sigma(sigma):
+    with pytest.raises(DomainError, match="sigma must be finite and >= 0"):
+        rectified_schedule(sigma)
+
+
 def test_cfg_combine_identities():
     rng = np.random.default_rng(8)
     vc, vu = rng.standard_normal((2, 5))
