@@ -12,7 +12,10 @@ Every command solves its ODE rows through _solve_rows, in batched calls of
 at most _SOLVE_ROWS rows, so a command's cost scales with rows x steps and
 its solver memory does not grow with the number of pairs it writes. Every
 model flag is loaded through _load_task, which requires the checkpoint's meta
-to name the task the flag needs and, where the masks are known, their shape.
+to name the task the flag needs and, where the masks are known, their shape,
+and returns the settings that task records (_TASKS), as cmd_train wrote them.
+_value parses every config and meta value, with no fallback: a missing or
+malformed one raises DomainError naming its file and its key.
 
 Every setting is checked where it is built, and it is built before the
 first read of a raster or a checkpoint: main builds the flag groups that
@@ -92,6 +95,16 @@ def parse_config(path) -> dict[str, str]:
     return cfg
 
 
+def _value(source, values: dict, key: str, kind: type):
+    """values[key], read from source, as kind, or DomainError naming source and key."""
+    if key not in values:
+        raise DomainError(f"{source} has no key '{key}'")
+    try:
+        return kind(values[key])
+    except ValueError:
+        raise DomainError(f"{source}: '{key}' is {values[key]!r}, not {kind.__name__}") from None
+
+
 def effective_seed(cfg_seed: int) -> int:
     """FMLAB_SEED when it is set, else cfg_seed."""
     env = os.environ.get("FMLAB_SEED")
@@ -102,7 +115,7 @@ def effective_seed(cfg_seed: int) -> int:
 
 
 # The VelocityModel arguments a checkpoint's meta records first, in order;
-# mask models add mask_height and mask_width, and train adds its extra keys.
+# mask models add mask_height and mask_width, then come task and its _TASKS keys.
 # A meta with mask_height is a mask-conditional model's, one without it a
 # class-conditional model's; load_model ignores every key it does not name.
 _ARCH_KEYS = ("data_dim", "width", "hidden_layers", "time_embed_dim", "num_classes")
@@ -111,13 +124,9 @@ _ARCH_KEYS = ("data_dim", "width", "hidden_layers", "time_embed_dim", "num_class
 def load_model(checkpoint_path) -> tuple[VelocityModel, dict[str, str]]:
     """Rebuild a model with its EMA weights, and its meta, from one checkpoint read."""
     meta, _, ema = _read_checkpoint(checkpoint_path)
-    try:
-        mask_shape = None
-        if "mask_height" in meta:
-            mask_shape = (int(meta["mask_height"]), int(meta["mask_width"]))
-        sizes = {key: int(meta[key]) for key in _ARCH_KEYS}
-    except KeyError as exc:
-        raise DomainError(f"{checkpoint_path} has no key {exc}") from None
+    size = partial(_value, checkpoint_path, meta, kind=int)
+    mask_shape = (size("mask_height"), size("mask_width")) if "mask_height" in meta else None
+    sizes = {key: size(key) for key in _ARCH_KEYS}
     return VelocityModel(mask_shape=mask_shape, params=ema, **sizes), meta
 
 
@@ -134,20 +143,6 @@ def _sorted_files(directory) -> list[Path]:
 def _load_mask_dir(directory) -> tuple[list[np.ndarray], list[Path]]:
     files = _sorted_files(directory)
     return [rasters.load_mask(p) for p in files], files
-
-
-def _bins_from(cfg: dict):
-    """Coverage binning named by a config or a checkpoint's meta, with the defaults."""
-    num_classes = int(cfg.get("num_classes", _NUM_CLASSES))
-    max_coverage = float(cfg.get("max_coverage", _MAX_COVERAGE))
-    return mask_ops.uniform_bins(num_classes, max_coverage)
-
-
-def _coverage_classes(masks, bins) -> np.ndarray:
-    """assign_class(coverage(m), bins) for each m of masks, valid 0/1 rasters,
-    without coverage's check and copy."""
-    idx = np.searchsorted(bins.edges, [m.mean() for m in masks], side="right") - 1
-    return idx.clip(0, bins.num_classes - 1)
 
 
 def _record_seeds(base_seed: int, count: int) -> np.ndarray:
@@ -168,15 +163,17 @@ def _solve_rows(solve, model: VelocityModel, x0: np.ndarray, cond, icfg) -> np.n
 
 
 def _load_task(flag: str, path, task: str, mask_shape=None) -> tuple[VelocityModel, dict]:
-    """Model and meta of the checkpoint at path, given by flag. The meta must
-    name task, the model must be of the kind task trains (mask-conditional or
-    not) and, when mask_shape is given, take masks of that shape."""
+    """Model of the checkpoint at path, given by flag, and the settings its
+    task records (_TASKS), typed as in _TRAIN_DEFAULTS. The meta must name
+    task, the model must be of the kind task trains (mask-conditional or not)
+    and, when mask_shape is given, take masks of that shape."""
     model, meta = load_model(path)
-    if meta.get("task") != task or (model.mask_shape is not None) != _TASKS[task][0]:
+    mask_conditional, _, recorded = _TASKS[task]
+    if meta.get("task") != task or (model.mask_shape is not None) != mask_conditional:
         raise DomainError(f"{flag} {path}: need task={task}, got task={meta.get('task')}")
     if mask_shape not in (None, model.mask_shape):
         raise DomainError(f"{flag} {path}: need {mask_shape} masks, got {model.mask_shape}")
-    return model, meta
+    return model, {key: _value(path, meta, key, type(_TRAIN_DEFAULTS[key])) for key in recorded}
 
 
 def _write_records(out_dir: Path, rows, strategy: str, bins, comments, render=None) -> int:
@@ -186,7 +183,7 @@ def _write_records(out_dir: Path, rows, strategy: str, bins, comments, render=No
     written as images/<stem>.pgm. Every record and comment is checked before
     render runs, and the manifest is written last, so a rejected one costs
     no ODE solve and leaves no output."""
-    classes = _coverage_classes([row[1] for row in rows], bins)
+    classes = mask_ops.assign_class(np.array([row[1].mean() for row in rows]), bins)
     records = [
         ManifestRecord(
             image_path="" if render is None else f"images/{stem}.pgm",
@@ -213,13 +210,14 @@ def _write_records(out_dir: Path, rows, strategy: str, bins, comments, render=No
 
 # -- train ----------------------------------------------------------------------
 
-# Each training task: whether its model is mask-conditional, and the data
-# keys it requires.
+# Each training task: whether its model is mask-conditional, the data keys
+# it requires, and the config keys its checkpoint records after task, in
+# that order, which _load_task reads back.
 _TASKS = {
-    "two_gaussians": (False, ()),
-    "mask_generator": (False, ("data_masks",)),
-    "image_renderer": (True, ("data_masks", "data_images")),
-    "injector": (True, ("data_masks", "data_images", "data_backgrounds")),
+    "two_gaussians": (False, (), ()),
+    "mask_generator": (False, ("data_masks",), ("resolution", "max_coverage")),
+    "image_renderer": (True, ("data_masks", "data_images"), ("resolution",)),
+    "injector": (True, ("data_masks", "data_images", "data_backgrounds"), ("resolution", "sigma")),
 }
 
 # Every key cmd_train reads besides task and the data keys, with its default;
@@ -240,11 +238,11 @@ def cmd_train(args) -> int:
         raise DomainError(f"unknown config key {', '.join(unknown)}")
     if task not in _TASKS:
         raise DomainError(f"config must set task to a known value, got {task!r}")
-    mask_conditional, data_keys = _TASKS[task]
+    mask_conditional, data_keys, recorded = _TASKS[task]
     for key in data_keys:
         if key not in cfg:
             raise DomainError(f"task {task} needs config key {key}")
-    cfg.update({key: type(default)(cfg[key]) for key, default in _TRAIN_DEFAULTS.items()})
+    cfg.update({key: _value(args.config, cfg, key, type(d)) for key, d in _TRAIN_DEFAULTS.items()})
 
     # Every setting is built, and so checked, before any data is read.
     seed = effective_seed(cfg["seed"])
@@ -253,16 +251,11 @@ def cmd_train(args) -> int:
     tcfg = TrainConfig(steps=cfg["steps"], batch_size=cfg["batch"], seed=seed, **rates)
     if log_every < 1:
         raise DomainError(f"log_every must be >= 1, got {log_every}")
-    extra = {"task": task} if task == "two_gaussians" else {"task": task, "resolution": side}
     num_classes = 2  # two_gaussians; mask models have no label table
     if task == "mask_generator":
-        bins = _bins_from(cfg)
+        bins = mask_ops.uniform_bins(cfg["num_classes"], cfg["max_coverage"])
         num_classes = bins.num_classes
-        extra["max_coverage"] = cfg["max_coverage"]
-    sched = linear_schedule()
-    if task == "injector":
-        sched = rectified_schedule(cfg["sigma"])
-        extra["sigma"] = cfg["sigma"]
+    sched = rectified_schedule(cfg["sigma"]) if task == "injector" else linear_schedule()
     data_dim = 2 if task == "two_gaussians" else side * side
     mask_shape = (side, side) if mask_conditional else None
     sizes = {key: cfg[key] for key in ("width", "hidden_layers", "time_embed_dim")}
@@ -276,7 +269,8 @@ def cmd_train(args) -> int:
         if masks.shape[1:] != (side, side):
             raise ShapeError(f"masks are {masks.shape[1:]}, config resolution is {side}")
     if task == "mask_generator":
-        data = (masks.reshape(len(masks), -1).astype(np.float64), _coverage_classes(masks, bins))
+        labels = mask_ops.assign_class(masks.mean(axis=(1, 2)), bins)
+        data = (masks.reshape(len(masks), -1).astype(np.float64), labels)
     elif mask_conditional:
         # Images pair with masks by file name.
         images = []
@@ -306,7 +300,8 @@ def cmd_train(args) -> int:
         meta["mask_height"], meta["mask_width"] = model.mask_shape
     # The log is renamed first, so a failed write leaves the previous checkpoint.
     log_file = (str(out) + ".log.tsv", log)
-    save_checkpoint(out, state.params, state.ema_params, {**meta, **extra}, log_file)
+    meta.update(task=task, **{key: cfg[key] for key in recorded})
+    save_checkpoint(out, state.params, state.ema_params, meta, log_file)
     print(f"wrote checkpoint {out} ({state.step} steps)")
     return EXIT_OK
 
@@ -317,17 +312,17 @@ def cmd_train(args) -> int:
 def _synthesize(
     args,
     mask_model: VelocityModel,
-    mask_meta: dict[str, str],
+    side: int,
+    bins,
     n_total: int,
     class_probs: np.ndarray,
     prefix: str,
     header: list[str],
     perturb: bool = False,
 ) -> None:
-    """Sample n_total masks from mask_model with classes drawn from
+    """Sample n_total side x side masks from mask_model with classes drawn from
     class_probs, render an image for each with args.image_model (both solves
     follow args.icfg), and write the pairs under args.out with comment lines header."""
-    side = int(mask_meta["resolution"])
     image_model, _ = _load_task("--image-model", args.image_model, "image_renderer", (side, side))
     seeds = _record_seeds(args.seed, n_total)
 
@@ -359,7 +354,7 @@ def _synthesize(
         for i, (m, s, c) in enumerate(zip(mask_stack, seeds, labels))
     ]
     render = partial(_solve_rows, integrate, image_model, image_x0, icfg=args.icfg)
-    n = _write_records(Path(args.out), rows, "A_mask_gen", _bins_from(mask_meta), header, render)
+    n = _write_records(Path(args.out), rows, "A_mask_gen", bins, header, render)
     print(f"synthesized {n} pairs into {args.out}")
 
 
@@ -367,10 +362,11 @@ def cmd_synthesize_indomain(args) -> int:
     if args.k < 1 or args.real_count < 0:
         raise DomainError(f"need k >= 1 and real-count >= 0, got {args.k} and {args.real_count}")
     n_total = args.k * args.real_count
-    mask_model, mask_meta = _load_task("--mask-model", args.mask_model, "mask_generator")
-    class_probs = np.full(mask_model.num_classes, 1.0 / mask_model.num_classes)
+    model, recorded = _load_task("--mask-model", args.mask_model, "mask_generator")
+    bins = mask_ops.uniform_bins(model.num_classes, recorded["max_coverage"])
+    class_probs = np.full(bins.num_classes, 1.0 / bins.num_classes)
     header = [f"policy=indomain x={args.real_count} k={args.k} total={n_total}"]
-    _synthesize(args, mask_model, mask_meta, n_total, class_probs, "indomain", header)
+    _synthesize(args, model, recorded["resolution"], bins, n_total, class_probs, "indomain", header)
     return EXIT_OK
 
 
@@ -380,8 +376,8 @@ def cmd_synthesize_crossdomain(args) -> int:
     target_masks, _ = _load_mask_dir(args.target_masks)
     x_target = len(target_masks)
     n_total = math.ceil(args.multiplier * x_target)
-    model, meta = _load_task("--mask-model", args.mask_model, "mask_generator")
-    bins = _bins_from(meta)
+    model, recorded = _load_task("--mask-model", args.mask_model, "mask_generator")
+    bins = mask_ops.uniform_bins(model.num_classes, recorded["max_coverage"])
     stats = mask_ops.estimate_target_stats(target_masks, args.fraction, bins, seed=args.seed)
     print(
         f"target stats from {stats.n_used}/{x_target} masks: "
@@ -395,7 +391,8 @@ def cmd_synthesize_crossdomain(args) -> int:
         "histogram=" + ",".join(repr(float(v)) for v in stats.histogram),
         f"mean_width={repr(stats.mean_width)}",
     ]
-    _synthesize(args, model, meta, n_total, stats.histogram, "crossdomain", header, args.perturb)
+    side, probs = recorded["resolution"], stats.histogram
+    _synthesize(args, model, side, bins, n_total, probs, "crossdomain", header, args.perturb)
     return EXIT_OK
 
 
@@ -552,6 +549,9 @@ def cmd_propagate(args) -> int:
     if args.image_model:
         shape = mask_list[0].shape
         image_model, _ = _load_task("--image-model", args.image_model, "image_renderer", shape)
+        for m, src in zip(mask_list, files):
+            if m.shape != shape:
+                raise ShapeError(f"--image-model needs {shape} masks, {src} is {m.shape}")
 
     rows, render_seeds, skipped = [], [], []
     for i, (m, src) in enumerate(zip(mask_list, files)):

@@ -76,8 +76,8 @@ class CoverageBinning:
         return len(self.edges) - 1
 
 
-def uniform_bins(num_classes: int = 10, max_coverage: float = 0.05) -> CoverageBinning:
-    """Equal-width bins from 0 to max_coverage (default ten 0.5% bins)."""
+def uniform_bins(num_classes: int, max_coverage: float) -> CoverageBinning:
+    """num_classes equal-width bins from 0 to max_coverage."""
     if not math.isfinite(max_coverage):
         # linspace would warn on an infinite end (0 * inf); the edge check
         # rejects a non-finite end as it is.
@@ -86,12 +86,15 @@ def uniform_bins(num_classes: int = 10, max_coverage: float = 0.05) -> CoverageB
     return CoverageBinning(edges=tuple(edges))
 
 
-def assign_class(rho: float, bins: CoverageBinning) -> int:
-    """Class index with edges[i] <= rho < edges[i+1]; out-of-range clamps."""
-    if not 0.0 <= rho <= 1.0:
-        raise DomainError(f"coverage ratio must lie in [0,1], got {rho}")
-    idx = int(np.searchsorted(bins.edges, rho, side="right")) - 1
-    return int(np.clip(idx, 0, bins.num_classes - 1))
+def assign_class(rho, bins: CoverageBinning):
+    """Class index with edges[i] <= rho < edges[i+1]; out-of-range clamps. An
+    int for a ratio, an int array for an array of ratios."""
+    rho = np.asarray(rho, dtype=np.float64)
+    inside = (rho >= 0.0) & (rho <= 1.0)
+    if not inside.all():
+        raise DomainError(f"coverage ratio must lie in [0,1], got {rho[~inside].flat[0]}")
+    idx = (np.searchsorted(bins.edges, rho, side="right") - 1).clip(0, bins.num_classes - 1)
+    return int(idx) if idx.ndim == 0 else idx
 
 
 def _check_se(se) -> np.ndarray:
@@ -390,18 +393,14 @@ def estimate_target_stats(
         raise DomainError("mask sample is empty")
     n_use = math.ceil(fraction * len(masks))
     order = np.random.default_rng(seed).permutation(len(masks))
-    chosen = [masks[i] for i in order[:n_use]]
-
-    hist = np.zeros(bins.num_classes, dtype=np.float64)
-    widths = []
-    for m in chosen:
-        m = as_mask(m)
-        hist[assign_class(coverage(m), bins)] += 1.0
-        area = float(m.sum())
+    ratios, widths = np.empty(n_use), []
+    for k, i in enumerate(order[:n_use]):
+        skel = skeletonize(masks[i])  # the one check that masks[i] is a mask
+        area = float(np.sum(masks[i]))
+        ratios[k] = area / skel.size
         if area > 0:
-            skel = float(skeletonize(m).sum())
-            widths.append(area / max(skel, 1.0))
-    hist /= hist.sum()
+            widths.append(area / max(float(skel.sum()), 1.0))
+    hist = np.bincount(assign_class(ratios, bins), minlength=bins.num_classes) / n_use
     mean_width = float(np.mean(widths)) if widths else 0.0
     return TargetStats(histogram=hist, mean_width=mean_width, n_used=n_use)
 

@@ -226,6 +226,43 @@ def test_readme_train_key_table_matches_the_train_defaults():
     assert {key: type(d)(table[key]) for key, d in cli._TRAIN_DEFAULTS.items()} == cli._TRAIN_DEFAULTS
 
 
+@pytest.mark.parametrize("key, value", [("width", "abc"), ("sigma", "x"), ("resolution", "8.0")])
+def test_train_names_the_config_and_the_key_of_a_malformed_value(
+    workspace, tmp_path, monkeypatch, capsys, key, value
+):
+    monkeypatch.setattr(rasters, "load_pgm", lambda *a: pytest.fail("a raster was read"))
+    cfg = write_config(
+        tmp_path / "i.cfg", task="injector", data_masks=workspace / "masks",
+        data_images=workspace / "images", data_backgrounds=workspace / "backgrounds",
+        **{"resolution": 8, "width": 8, "time_embed_dim": 4, "steps": 5, key: value},
+    )
+    out = tmp_path / "i.fmck"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+    assert f"error: {cfg}: '{key}' is '{value}', not " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_checkpoint_table_matches_the_recorded_keys():
+    lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    lines = [line.strip() for line in lines]
+    start = lines.index("| task | meta keys, in the order `train` writes them |") + 2
+    table = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        task, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        table[task.strip("`")] = [key.strip(" `") for key in keys.split(",")]
+    assert set(table) == set(cli._TASKS)
+    for task, (mask_conditional, _, recorded) in cli._TASKS.items():
+        mask_keys = ["mask_height", "mask_width"] if mask_conditional else []
+        assert table[task] == [*cli._ARCH_KEYS, *mask_keys, "task", *recorded], task
+
+
+def test_train_writes_the_recorded_keys_of_its_task(workspace):
+    for name, task in (("mask", "mask_generator"), ("render", "image_renderer"), ("inject", "injector")):
+        meta, _, _ = _read_checkpoint(workspace / f"{name}.fmck")
+        after_task = list(meta)[list(meta).index("task") + 1 :]
+        assert after_task == list(cli._TASKS[task][2])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 12), st.data())
 def test_coverage_classes_equal_assign_class_of_coverage(h, w, num_classes, data):
@@ -237,8 +274,7 @@ def test_coverage_classes_equal_assign_class_of_coverage(h, w, num_classes, data
     bins = uniform_bins(num_classes, min(1.0, num_classes * step / n))
     masks = np.stack([(np.arange(n) < c).astype(np.uint8).reshape(h, w) for c in range(n + 1)])
     want = [assign_class(coverage(m), bins) for m in masks]
-    assert cli._coverage_classes(masks, bins).tolist() == want
-    assert cli._coverage_classes(list(masks), bins).tolist() == want
+    assert assign_class(masks.mean(axis=(1, 2)), bins).tolist() == want
 
 
 def test_train_missing_data_exits_2(tmp_path, capsys):
@@ -659,14 +695,59 @@ def test_a_version_1_checkpoint_exits_2(workspace, tmp_path, capsys):
     assert "error: unsupported checkpoint version 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["width", "data_dim", "mask_width"])
-def test_load_model_names_the_meta_and_its_missing_key(workspace, tmp_path, capsys, key):
-    meta, params, ema = _read_checkpoint(workspace / "render.fmck")
-    del meta[key]
-    ckpt = tmp_path / "m.fmck"
-    save_checkpoint(ckpt, params, ema, meta)
+def _with_meta(src, dst, key, value):
+    """dst, a copy of checkpoint src whose meta key is deleted (value None) or set to value."""
+    meta, params, ema = _read_checkpoint(src)
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    save_checkpoint(dst, params, ema, meta)
+    return dst
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("width", None), ("data_dim", None), ("mask_width", None), ("width", "8.0")],
+    ids=["width", "data_dim", "mask_width", "width=8.0"],
+)
+def test_load_model_names_the_meta_and_its_missing_key(workspace, tmp_path, capsys, key, value):
+    ckpt = _with_meta(workspace / "render.fmck", tmp_path / "m.fmck", key, value)
     assert _propagate_with(workspace, tmp_path, ckpt) == 2
-    assert f"error: {ckpt} has no key '{key}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if value is None:
+        assert f"error: {ckpt} has no key '{key}'" in err
+    else:
+        assert f"error: {ckpt}: '{key}' is '{value}', not int" in err
+
+
+_SYNTHESIZE = [
+    "synthesize-indomain --real-count 2 --k 2",
+    "synthesize-crossdomain --target-masks {ws}/masks",
+]
+
+
+@pytest.mark.parametrize("command", _SYNTHESIZE, ids=["indomain", "crossdomain"])
+@pytest.mark.parametrize(
+    "key, value", [("resolution", None), ("resolution", "8.5"), ("max_coverage", None),
+                   ("max_coverage", "lots")],
+)
+def test_a_generator_with_a_missing_or_malformed_recorded_key_exits_2(
+    workspace, tmp_path, capsys, command, key, value
+):
+    # Without its max_coverage a generator's class labels have no bins; no
+    # default stands in for them.
+    ckpt = _with_meta(workspace / "mask.fmck", tmp_path / "m.fmck", key, value)
+    out = tmp_path / "out"
+    argv = command.format(ws=workspace).split() + ["--mask-model", str(ckpt)]
+    argv += ["--image-model", str(workspace / "render.fmck"), "--ode-steps", "2", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    if value is None:
+        assert f"error: {ckpt} has no key '{key}'" in err
+    else:
+        assert f"error: {ckpt}: '{key}' is '{value}', not " in err
+    assert not out.exists()
 
 
 def test_a_checkpoint_whose_meta_still_names_a_mode_loads(workspace, tmp_path):
@@ -1316,6 +1397,24 @@ def test_propagate_rejects_a_renderer_for_other_masks(
         assert "need task=image_renderer, got task=mask_generator" in err
     else:
         assert f"need ({masks_side}, {masks_side}) masks, got (8, 8)" in err
+    assert not out.exists()
+
+
+def test_propagate_with_an_image_model_rejects_masks_of_mixed_size(
+    workspace, tmp_path, monkeypatch, capsys
+):
+    src = tmp_path / "src"
+    src.mkdir()
+    save_mask(src / "a.pgm", load_mask(workspace / "masks" / "s00.pgm"))
+    save_mask(src / "b.pgm", np.ones((4, 4), dtype=np.uint8))
+    calls = []
+    real_propagate = cli.mask_ops.propagate
+    monkeypatch.setattr(cli.mask_ops, "propagate", lambda *a: calls.append(a) or real_propagate(*a))
+    out = tmp_path / "out"
+    argv = ["propagate", "--masks", str(src), "--image-model", str(workspace / "render.fmck")]
+    assert main(argv + ["--ode-steps", "2", "--out", str(out)]) == 2
+    assert f"error: --image-model needs (8, 8) masks, {src / 'b.pgm'} is (4, 4)" in capsys.readouterr().err
+    assert calls == []
     assert not out.exists()
 
 

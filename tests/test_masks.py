@@ -77,6 +77,15 @@ def test_assign_class_clamps_out_of_bins():
         assign_class(-0.1, bins)
 
 
+def test_assign_class_maps_an_array_of_ratios():
+    bins = uniform_bins(10, 0.05)
+    classes = assign_class(np.array([0.0046, 0.0284, 0.005, 0.9]), bins)
+    assert classes.tolist() == [0, 5, 1, 9]
+    assert classes.dtype.kind == "i"
+    with pytest.raises(DomainError, match="got 1.5"):
+        assign_class(np.array([0.0, 0.01, 1.5, 0.02]), bins)
+
+
 def test_binning_validation():
     with pytest.raises(DomainError):
         CoverageBinning(edges=(0.0, 0.2, 0.1))
@@ -621,6 +630,24 @@ def test_estimate_stats_width_of_known_bar():
     m[3:6, 1:8] = 1  # 3 px wide bar
     stats = estimate_target_stats([m], 1.0, bins, seed=0)
     assert stats.mean_width >= 2.0  # area / skeleton length resolves thickness
+
+
+def test_estimate_stats_validates_each_mask_once_and_counts_over_n_used(monkeypatch):
+    calls = []
+    real_as_mask = masks_module.as_mask
+    monkeypatch.setattr(masks_module, "as_mask", lambda m: calls.append(1) or real_as_mask(m))
+    rng = np.random.default_rng(6)
+    bins = uniform_bins(3, 0.75)
+    # Empty and full masks included; 0.4 of 30 masks is 12.
+    masks = [np.zeros((8, 8), np.uint8), np.ones((8, 8), np.uint8)]
+    masks += [(rng.random((8, 8)) < 0.3).astype(np.uint8) for _ in range(28)]
+    stats = estimate_target_stats(masks, 0.4, bins, seed=3)
+    assert len(calls) == stats.n_used == 12
+    order = np.random.default_rng(3).permutation(30)[:12]
+    counts = np.zeros(3)
+    for i in order:
+        counts[assign_class(coverage(masks[i]), bins)] += 1.0
+    assert stats.histogram.tolist() == (counts / 12).tolist()
 
 
 def test_estimate_stats_validation():
