@@ -12,8 +12,8 @@ Every command solves its ODE rows through _solve_rows, in batched calls of
 at most _SOLVE_ROWS rows, so a command's cost scales with rows x steps and
 its solver memory does not grow with the number of pairs it writes. Every
 model flag is loaded through _load_task, which requires the checkpoint's meta
-to name the task the flag needs and, where the masks are known, their shape,
-and returns the settings that task records (_TASKS), as cmd_train wrote them.
+to name the task the flag needs and returns the settings that task records
+(_TASKS); a renderer's mask_shape alone sizes the masks it is given.
 _value parses every config and meta value, with no fallback: a missing or
 malformed one raises DomainError naming its file and its key.
 
@@ -106,9 +106,10 @@ def _value(source, values: dict, key: str, kind: type):
 
 
 def effective_seed(cfg_seed: int) -> int:
-    """FMLAB_SEED when it is set, else cfg_seed."""
-    env = os.environ.get("FMLAB_SEED")
-    return int(env) if env else cfg_seed
+    """FMLAB_SEED when it is set and not empty, else cfg_seed."""
+    if not os.environ.get("FMLAB_SEED"):
+        return cfg_seed
+    return _value("environment", os.environ, "FMLAB_SEED", int)
 
 
 # -- shared helpers -------------------------------------------------------------
@@ -162,17 +163,14 @@ def _solve_rows(solve, model: VelocityModel, x0: np.ndarray, cond, icfg) -> np.n
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def _load_task(flag: str, path, task: str, mask_shape=None) -> tuple[VelocityModel, dict]:
+def _load_task(flag: str, path, task: str) -> tuple[VelocityModel, dict]:
     """Model of the checkpoint at path, given by flag, and the settings its
     task records (_TASKS), typed as in _TRAIN_DEFAULTS. The meta must name
-    task, the model must be of the kind task trains (mask-conditional or not)
-    and, when mask_shape is given, take masks of that shape."""
+    task, and the model must be of the kind task trains (mask-conditional or not)."""
     model, meta = load_model(path)
     mask_conditional, _, recorded = _TASKS[task]
     if meta.get("task") != task or (model.mask_shape is not None) != mask_conditional:
         raise DomainError(f"{flag} {path}: need task={task}, got task={meta.get('task')}")
-    if mask_shape not in (None, model.mask_shape):
-        raise DomainError(f"{flag} {path}: need {mask_shape} masks, got {model.mask_shape}")
     return model, {key: _value(path, meta, key, type(_TRAIN_DEFAULTS[key])) for key in recorded}
 
 
@@ -215,9 +213,9 @@ def _write_records(out_dir: Path, rows, strategy: str, bins, comments, render=No
 # that order, which _load_task reads back.
 _TASKS = {
     "two_gaussians": (False, (), ()),
-    "mask_generator": (False, ("data_masks",), ("resolution", "max_coverage")),
-    "image_renderer": (True, ("data_masks", "data_images"), ("resolution",)),
-    "injector": (True, ("data_masks", "data_images", "data_backgrounds"), ("resolution", "sigma")),
+    "mask_generator": (False, ("data_masks",), ("max_coverage",)),
+    "image_renderer": (True, ("data_masks", "data_images"), ()),
+    "injector": (True, ("data_masks", "data_images", "data_backgrounds"), ()),
 }
 
 # Every key cmd_train reads besides task and the data keys, with its default;
@@ -309,10 +307,19 @@ def cmd_train(args) -> int:
 # -- synthesis policies ----------------------------------------------------------
 
 
+def _load_generator(path) -> tuple[VelocityModel, mask_ops.CoverageBinning]:
+    """The --mask-model generator at path and the coverage bins its class
+    labels index, from its num_classes and its recorded max_coverage."""
+    model, recorded = _load_task("--mask-model", path, "mask_generator")
+    top = recorded["max_coverage"]
+    if not 0.0 < top <= 1.0:
+        raise DomainError(f"--mask-model {path}: max_coverage must lie in (0, 1], got {top}")
+    return model, mask_ops.uniform_bins(model.num_classes, top)
+
+
 def _synthesize(
     args,
     mask_model: VelocityModel,
-    side: int,
     bins,
     n_total: int,
     class_probs: np.ndarray,
@@ -320,24 +327,28 @@ def _synthesize(
     header: list[str],
     perturb: bool = False,
 ) -> None:
-    """Sample n_total side x side masks from mask_model with classes drawn from
-    class_probs, render an image for each with args.image_model (both solves
-    follow args.icfg), and write the pairs under args.out with comment lines header."""
-    image_model, _ = _load_task("--image-model", args.image_model, "image_renderer", (side, side))
+    """Sample n_total masks of args.image_model's mask shape from mask_model with
+    classes drawn from class_probs, render an image for each with it (both
+    solves follow args.icfg), and write the pairs under args.out with comment lines header."""
+    image_model, _ = _load_task("--image-model", args.image_model, "image_renderer")
+    shape, dim = image_model.mask_shape, mask_model.data_dim
+    if dim != math.prod(shape):
+        msg = f"--mask-model {args.mask_model} makes {dim}-pixel masks"
+        raise DomainError(f"{msg}, --image-model {args.image_model} takes {shape} masks")
     seeds = _record_seeds(args.seed, n_total)
 
     # Each record's generator draws its class, its mask noise and its image
     # noise, in that order; the rows are then batched through the ODE.
     labels = np.empty(n_total, dtype=np.intp)
-    x0 = np.empty((n_total, side * side))
+    x0 = np.empty((n_total, dim))
     image_x0 = np.empty((n_total, image_model.data_dim))
     for i, s in enumerate(seeds):
         rng = np.random.default_rng(int(s))
         labels[i] = rng.choice(len(class_probs), p=class_probs)
-        x0[i] = rng.standard_normal(side * side)
+        x0[i] = rng.standard_normal(dim)
         image_x0[i] = rng.standard_normal(image_model.data_dim)
     sampled = _solve_rows(integrate, mask_model, x0, labels, args.icfg)
-    mask_stack = (sampled >= 0.5).astype(np.uint8).reshape(n_total, side, side)
+    mask_stack = (sampled >= 0.5).astype(np.uint8).reshape(n_total, *shape)
 
     if perturb:
         for i, m in enumerate(mask_stack):
@@ -362,11 +373,10 @@ def cmd_synthesize_indomain(args) -> int:
     if args.k < 1 or args.real_count < 0:
         raise DomainError(f"need k >= 1 and real-count >= 0, got {args.k} and {args.real_count}")
     n_total = args.k * args.real_count
-    model, recorded = _load_task("--mask-model", args.mask_model, "mask_generator")
-    bins = mask_ops.uniform_bins(model.num_classes, recorded["max_coverage"])
+    model, bins = _load_generator(args.mask_model)
     class_probs = np.full(bins.num_classes, 1.0 / bins.num_classes)
     header = [f"policy=indomain x={args.real_count} k={args.k} total={n_total}"]
-    _synthesize(args, model, recorded["resolution"], bins, n_total, class_probs, "indomain", header)
+    _synthesize(args, model, bins, n_total, class_probs, "indomain", header)
     return EXIT_OK
 
 
@@ -376,8 +386,7 @@ def cmd_synthesize_crossdomain(args) -> int:
     target_masks, _ = _load_mask_dir(args.target_masks)
     x_target = len(target_masks)
     n_total = math.ceil(args.multiplier * x_target)
-    model, recorded = _load_task("--mask-model", args.mask_model, "mask_generator")
-    bins = mask_ops.uniform_bins(model.num_classes, recorded["max_coverage"])
+    model, bins = _load_generator(args.mask_model)
     stats = mask_ops.estimate_target_stats(target_masks, args.fraction, bins, seed=args.seed)
     print(
         f"target stats from {stats.n_used}/{x_target} masks: "
@@ -391,8 +400,7 @@ def cmd_synthesize_crossdomain(args) -> int:
         "histogram=" + ",".join(repr(float(v)) for v in stats.histogram),
         f"mean_width={repr(stats.mean_width)}",
     ]
-    side, probs = recorded["resolution"], stats.histogram
-    _synthesize(args, model, side, bins, n_total, probs, "crossdomain", header, args.perturb)
+    _synthesize(args, model, bins, n_total, stats.histogram, "crossdomain", header, args.perturb)
     return EXIT_OK
 
 
@@ -547,8 +555,8 @@ def cmd_propagate(args) -> int:
     )
     mask_list, files = _load_mask_dir(args.masks)
     if args.image_model:
-        shape = mask_list[0].shape
-        image_model, _ = _load_task("--image-model", args.image_model, "image_renderer", shape)
+        image_model, _ = _load_task("--image-model", args.image_model, "image_renderer")
+        shape = image_model.mask_shape
         for m, src in zip(mask_list, files):
             if m.shape != shape:
                 raise ShapeError(f"--image-model needs {shape} masks, {src} is {m.shape}")

@@ -640,23 +640,28 @@ def save_checkpoint(path, params: np.ndarray, ema_params: np.ndarray, meta, *bef
 def _read_checkpoint(path) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
     """A checkpoint's meta, params and ema from one read, the last two as
     read-only views of the file's bytes. A file cut or padded anywhere, or
-    one whose meta block save_checkpoint would not write, raises DomainError."""
+    one whose meta block save_checkpoint would not write, raises DomainError
+    naming path."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise DomainError(f"bad checkpoint magic {blob[:4]!r}")
-    if len(blob) < _HEADER.size:
-        raise DomainError("checkpoint header truncated")
-    _, version, count, meta_len = _HEADER.unpack_from(blob)
-    if version != CHECKPOINT_VERSION:
-        raise DomainError(f"unsupported checkpoint version {version}")
-    start = _HEADER.size + meta_len
-    if len(blob) < start + 16 * count:
-        raise DomainError("checkpoint truncated")
-    if len(blob) > start + 16 * count:
-        raise DomainError("trailing bytes after checkpoint data")
+    try:
+        if blob[:4] != CHECKPOINT_MAGIC:
+            raise DomainError(f"bad checkpoint magic {blob[:4]!r}")
+        if len(blob) < _HEADER.size:
+            raise DomainError("checkpoint header truncated")
+        _, version, count, meta_len = _HEADER.unpack_from(blob)
+        if version != CHECKPOINT_VERSION:
+            raise DomainError(f"unsupported checkpoint version {version}")
+        start = _HEADER.size + meta_len
+        if len(blob) < start + 16 * count:
+            raise DomainError("checkpoint truncated")
+        if len(blob) > start + 16 * count:
+            raise DomainError("trailing bytes after checkpoint data")
+        meta = _parse_meta(blob[_HEADER.size : start])
+    except DomainError as exc:
+        raise DomainError(f"{exc} in {path}") from None
     params, ema = np.frombuffer(blob, dtype="<f8", offset=start).reshape(2, count)
-    return _parse_meta(blob[_HEADER.size : start]), params, ema
+    return meta, params, ema
 
 
 def load_checkpoint(path) -> tuple[np.ndarray, np.ndarray]:

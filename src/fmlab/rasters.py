@@ -39,13 +39,13 @@ def _load_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:2] != magic:
-        raise DomainError(f"not a {magic.decode()} file")
+        raise DomainError(f"{path} is not a {magic.decode()} file")
     header = _HEADER.match(data, 2)
     if header is None:
         raise DomainError(f"malformed or truncated raster header in {path}")
     width, height, maxval = map(int, header.groups())
     if maxval < 1 or maxval > 255:
-        raise DomainError(f"unsupported maxval {maxval}")
+        raise DomainError(f"unsupported maxval {maxval} in {path}")
     size = width * height * channels
     if len(data) - header.end() < size:
         raise DomainError(f"truncated pixel data in {path}")

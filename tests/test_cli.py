@@ -727,33 +727,86 @@ _SYNTHESIZE = [
 ]
 
 
+def _synthesize_with(workspace, out, command, mask_model):
+    """Exit code of the synthesize command with mask_model and the workspace
+    renderer, writing to out."""
+    argv = command.format(ws=workspace).split() + ["--mask-model", str(mask_model)]
+    argv += ["--image-model", str(workspace / "render.fmck")]
+    return main(argv + ["--ode-steps", "2", "--out", str(out)])
+
+
 @pytest.mark.parametrize("command", _SYNTHESIZE, ids=["indomain", "crossdomain"])
 @pytest.mark.parametrize(
-    "key, value", [("resolution", None), ("resolution", "8.5"), ("max_coverage", None),
-                   ("max_coverage", "lots")],
+    "value, message",
+    [
+        (None, "{ckpt} has no key 'max_coverage'"),
+        ("lots", "{ckpt}: 'max_coverage' is 'lots', not float"),
+        ("0", "--mask-model {ckpt}: max_coverage must lie in (0, 1], got 0.0"),
+        ("2", "--mask-model {ckpt}: max_coverage must lie in (0, 1], got 2.0"),
+        ("nan", "--mask-model {ckpt}: max_coverage must lie in (0, 1], got nan"),
+    ],
+    ids=[f"max_coverage-{value}" for value in (None, "lots", "0", "2", "nan")],
 )
 def test_a_generator_with_a_missing_or_malformed_recorded_key_exits_2(
-    workspace, tmp_path, capsys, command, key, value
+    workspace, tmp_path, capsys, command, value, message
 ):
     # Without its max_coverage a generator's class labels have no bins; no
     # default stands in for them.
-    ckpt = _with_meta(workspace / "mask.fmck", tmp_path / "m.fmck", key, value)
+    ckpt = _with_meta(workspace / "mask.fmck", tmp_path / "m.fmck", "max_coverage", value)
     out = tmp_path / "out"
-    argv = command.format(ws=workspace).split() + ["--mask-model", str(ckpt)]
-    argv += ["--image-model", str(workspace / "render.fmck"), "--ode-steps", "2", "--out", str(out)]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    if value is None:
-        assert f"error: {ckpt} has no key '{key}'" in err
-    else:
-        assert f"error: {ckpt}: '{key}' is '{value}', not " in err
+    assert _synthesize_with(workspace, out, command, ckpt) == 2
+    assert f"error: {message.format(ckpt=ckpt)}" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_a_checkpoint_whose_meta_still_names_a_mode_loads(workspace, tmp_path):
+@pytest.mark.parametrize("command", _SYNTHESIZE, ids=["indomain", "crossdomain"])
+def test_a_generator_and_a_renderer_of_other_mask_sizes_exit_2_naming_both(
+    workspace, tmp_path, capsys, command
+):
+    masks = tmp_path / "masks4"
+    masks.mkdir()
+    for i, m in enumerate(toys.toy_mask_dataset(2, side=4, seed=0)[0]):
+        save_mask(masks / f"m{i}.pgm", m)
+    cfg = write_config(
+        tmp_path / "mask4.cfg", task="mask_generator", data_masks=masks, resolution=4,
+        num_classes=2, max_coverage=0.75, width=8, time_embed_dim=4, steps=1, batch=4,
+    )
+    ckpt = tmp_path / "mask4.fmck"
+    assert main(["train", "--config", cfg, "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert _synthesize_with(workspace, out, command, ckpt) == 2
+    err = capsys.readouterr().err
+    render = workspace / "render.fmck"
+    assert f"error: --mask-model {ckpt} makes 16-pixel masks, --image-model {render} takes (8, 8)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", _SYNTHESIZE, ids=["indomain", "crossdomain"])
+def test_a_generator_whose_meta_still_records_a_resolution_ignores_it(
+    workspace, tmp_path, command
+):
+    # Older checkpoints record resolution beside data_dim; the renderer's
+    # mask shape sizes the masks, so not even a wrong one changes the output.
+    stale = _with_meta(workspace / "mask.fmck", tmp_path / "m.fmck", "resolution", "5")
+    outputs = []
+    for name, ckpt in (("stale", stale), ("fresh", workspace / "mask.fmck")):
+        assert _synthesize_with(workspace, tmp_path / name, command, ckpt) == 0
+        files = sorted(p for p in (tmp_path / name).rglob("*") if p.is_file())
+        outputs.append({str(p.relative_to(tmp_path / name)): p.read_bytes() for p in files})
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) > 1
+
+
+@pytest.mark.parametrize(
+    "leftover", [{"mode": "mask_conditional"}, {"resolution": "5"}, {"sigma": "x"}],
+    ids=["mode", "resolution", "sigma"],
+)
+def test_a_checkpoint_whose_meta_still_names_a_mode_loads(workspace, tmp_path, leftover):
+    # Keys that older checkpoints record and no loader reads are ignored.
     meta, params, ema = _read_checkpoint(workspace / "render.fmck")
     ckpt = tmp_path / "m.fmck"
-    save_checkpoint(ckpt, params, ema, {"mode": "mask_conditional", **meta})
+    save_checkpoint(ckpt, params, ema, {**leftover, **meta})
     model, _ = cli.load_model(ckpt)
     assert model.mask_shape == (8, 8)
     assert np.array_equal(model.get_params(), ema)
@@ -915,6 +968,24 @@ def test_fmlab_seed_env_overrides_the_seed_flag(workspace, tmp_path, monkeypatch
     assert run("env", "3") == expected
     monkeypatch.delenv("FMLAB_SEED")
     assert run("other", "3") != expected
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_a_malformed_fmlab_seed_exits_2_naming_it(workspace, tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("FMLAB_SEED", value)
+    out = tmp_path / "out.tsv"
+    assert main(["stats", "--masks", str(workspace / "masks"), "--out", str(out)]) == 2
+    assert f"error: environment: 'FMLAB_SEED' is '{value}', not int" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_empty_fmlab_seed_means_unset(workspace, tmp_path, monkeypatch):
+    monkeypatch.delenv("FMLAB_SEED", raising=False)
+    argv = ["stats", "--masks", str(workspace / "masks"), "--fraction", "0.5", "--seed", "3"]
+    assert main(argv + ["--out", str(tmp_path / "unset.tsv")]) == 0
+    monkeypatch.setenv("FMLAB_SEED", "")
+    assert main(argv + ["--out", str(tmp_path / "empty.tsv")]) == 0
+    assert (tmp_path / "empty.tsv").read_bytes() == (tmp_path / "unset.tsv").read_bytes()
 
 
 def test_inject_zip_reports_unpaired_files(workspace, tmp_path, capsys):
@@ -1396,7 +1467,7 @@ def test_propagate_rejects_a_renderer_for_other_masks(
     if model == "mask.fmck":
         assert "need task=image_renderer, got task=mask_generator" in err
     else:
-        assert f"need ({masks_side}, {masks_side}) masks, got (8, 8)" in err
+        assert f"error: --image-model needs (8, 8) masks, {src / 'a.pgm'} is (4, 4)" in err
     assert not out.exists()
 
 

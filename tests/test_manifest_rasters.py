@@ -106,6 +106,24 @@ def _write_netpbm(path, magic: str, shape, maxval: int, pixels) -> None:
     path.write_bytes(header + np.asarray(pixels, dtype=np.uint8).tobytes())
 
 
+@pytest.mark.parametrize(
+    "magic, maxval, message",
+    [
+        ("P6", 255, "{path} is not a P5 file"),
+        ("P5", 0, "unsupported maxval 0 in {path}"),
+        ("P5", 256, "unsupported maxval 256 in {path}"),
+    ],
+    ids=["ppm", "maxval-0", "maxval-256"],
+)
+def test_a_raster_the_reader_cannot_take_names_its_path(tmp_path, magic, maxval, message):
+    # A PPM saved as .pgm, say among 500 masks, must point to its own file.
+    path = tmp_path / "mask.pgm"
+    _write_netpbm(path, magic, (1, 1), maxval, [0, 0, 0])
+    with pytest.raises(DomainError) as exc:
+        load_pgm(path)
+    assert str(exc.value) == message.format(path=path)
+
+
 def test_maxval_below_255_rescales_on_load(tmp_path):
     path = tmp_path / "binary.pgm"
     _write_netpbm(path, "P5", (1, 2), 1, [1, 0])

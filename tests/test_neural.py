@@ -803,6 +803,29 @@ def test_checkpoint_rejects_a_bad_meta_block(tmp_path, block, error):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda blob: b"XXXX" + blob[4:], "bad checkpoint magic b'XXXX'"),
+        (lambda blob: blob[:12], "checkpoint header truncated"),
+        (lambda blob: blob[:4] + struct.pack("<I", 1) + blob[8:], "unsupported checkpoint version 1"),
+        (lambda blob: blob[:-1], "checkpoint truncated"),
+        (lambda blob: blob + b"x", "trailing bytes after checkpoint data"),
+        (lambda blob: _with_meta_block(b"width\n"), "checkpoint meta line 'width' has no '='"),
+        (lambda blob: _with_meta_block("\u00e9\n".encode()), "checkpoint meta block is not ASCII"),
+    ],
+    ids=["magic", "header", "version", "truncated", "trailing", "meta-line", "meta-ascii"],
+)
+def test_every_checkpoint_read_error_names_the_file(tmp_path, damage, message):
+    path = tmp_path / "model.fmck"
+    save_checkpoint(path, np.arange(4.0), np.arange(4.0), _META)
+    bad = tmp_path / "bad.fmck"
+    bad.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(DomainError) as exc:
+        _read_checkpoint(bad)
+    assert str(exc.value) == f"{message} in {bad}"
+
+
 def test_checkpoint_with_an_empty_meta_block_reads_back(tmp_path):
     path = tmp_path / "empty.fmck"
     path.write_bytes(_with_meta_block(b""))
