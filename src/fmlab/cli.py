@@ -307,34 +307,39 @@ def cmd_train(args) -> int:
 # -- synthesis policies ----------------------------------------------------------
 
 
-def _load_generator(path) -> tuple[VelocityModel, mask_ops.CoverageBinning]:
-    """The --mask-model generator at path and the coverage bins its class
-    labels index, from its num_classes and its recorded max_coverage."""
-    model, recorded = _load_task("--mask-model", path, "mask_generator")
+def _load_models(args) -> tuple[VelocityModel, mask_ops.CoverageBinning, VelocityModel]:
+    """The --mask-model generator, the coverage bins its class labels index
+    (from its num_classes and its recorded max_coverage) and the
+    --image-model renderer, which must take the generator's masks."""
+    mask_model, recorded = _load_task("--mask-model", args.mask_model, "mask_generator")
     top = recorded["max_coverage"]
     if not 0.0 < top <= 1.0:
-        raise DomainError(f"--mask-model {path}: max_coverage must lie in (0, 1], got {top}")
-    return model, mask_ops.uniform_bins(model.num_classes, top)
+        raise DomainError(f"--mask-model {args.mask_model}: max_coverage must lie in (0, 1], got {top}")
+    bins = mask_ops.uniform_bins(mask_model.num_classes, top)
+    image_model, _ = _load_task("--image-model", args.image_model, "image_renderer")
+    shape, dim = image_model.mask_shape, mask_model.data_dim
+    if dim != math.prod(shape):
+        msg = f"--mask-model {args.mask_model} makes {dim}-pixel masks"
+        raise DomainError(f"{msg}, --image-model {args.image_model} takes {shape} masks")
+    return mask_model, bins, image_model
 
 
 def _synthesize(
     args,
     mask_model: VelocityModel,
     bins,
+    image_model: VelocityModel,
     n_total: int,
     class_probs: np.ndarray,
     prefix: str,
     header: list[str],
     perturb: bool = False,
 ) -> None:
-    """Sample n_total masks of args.image_model's mask shape from mask_model with
-    classes drawn from class_probs, render an image for each with it (both
-    solves follow args.icfg), and write the pairs under args.out with comment lines header."""
-    image_model, _ = _load_task("--image-model", args.image_model, "image_renderer")
+    """Sample n_total masks from mask_model with classes drawn from
+    class_probs, render an image for each with image_model (both solves
+    follow args.icfg), and write the pairs under args.out with comment lines
+    header. The models and bins are as _load_models returns them."""
     shape, dim = image_model.mask_shape, mask_model.data_dim
-    if dim != math.prod(shape):
-        msg = f"--mask-model {args.mask_model} makes {dim}-pixel masks"
-        raise DomainError(f"{msg}, --image-model {args.image_model} takes {shape} masks")
     seeds = _record_seeds(args.seed, n_total)
 
     # Each record's generator draws its class, its mask noise and its image
@@ -373,20 +378,20 @@ def cmd_synthesize_indomain(args) -> int:
     if args.k < 1 or args.real_count < 0:
         raise DomainError(f"need k >= 1 and real-count >= 0, got {args.k} and {args.real_count}")
     n_total = args.k * args.real_count
-    model, bins = _load_generator(args.mask_model)
+    mask_model, bins, image_model = _load_models(args)
     class_probs = np.full(bins.num_classes, 1.0 / bins.num_classes)
     header = [f"policy=indomain x={args.real_count} k={args.k} total={n_total}"]
-    _synthesize(args, model, bins, n_total, class_probs, "indomain", header)
+    _synthesize(args, mask_model, bins, image_model, n_total, class_probs, "indomain", header)
     return EXIT_OK
 
 
 def cmd_synthesize_crossdomain(args) -> int:
     if not 0.0 <= args.multiplier < math.inf:
         raise DomainError(f"multiplier must be finite and >= 0, got {args.multiplier}")
+    mask_model, bins, image_model = _load_models(args)
     target_masks, _ = _load_mask_dir(args.target_masks)
     x_target = len(target_masks)
     n_total = math.ceil(args.multiplier * x_target)
-    model, bins = _load_generator(args.mask_model)
     stats = mask_ops.estimate_target_stats(target_masks, args.fraction, bins, seed=args.seed)
     print(
         f"target stats from {stats.n_used}/{x_target} masks: "
@@ -400,7 +405,9 @@ def cmd_synthesize_crossdomain(args) -> int:
         "histogram=" + ",".join(repr(float(v)) for v in stats.histogram),
         f"mean_width={repr(stats.mean_width)}",
     ]
-    _synthesize(args, model, bins, n_total, stats.histogram, "crossdomain", header, args.perturb)
+    _synthesize(
+        args, mask_model, bins, image_model, n_total, stats.histogram, "crossdomain", header, args.perturb
+    )
     return EXIT_OK
 
 

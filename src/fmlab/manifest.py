@@ -85,28 +85,33 @@ def write_manifest(path, records: list[ManifestRecord], comments: list[str] | No
 
 
 def read_manifest(path) -> tuple[list[ManifestRecord], list[str]]:
+    """A manifest's records and comments; every error names path."""
     records: list[ManifestRecord] = []
     comments: list[str] = []
     header: list[str] | None = None
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                comments.append(line[1:].strip())
-                continue
-            cells = line.split("\t")
-            if header is None:
-                header = cells
-                if tuple(header) != _COLUMNS:
-                    raise DomainError(f"unexpected manifest columns {header}")
-                continue
-            if len(cells) != len(_COLUMNS):
-                raise DomainError(f"malformed manifest row: {line!r}")
-            # The cells follow the record's fields, _COLUMNS order.
-            image, mask, cls, strategy, split, seed, prov = cells
-            records.append(ManifestRecord(image, mask, int(cls), strategy, split, int(seed), prov))
+    # DomainError is a ValueError, as are a non-integer cell and a non-ASCII byte.
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            for line in fh:
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    comments.append(line[1:].strip())
+                    continue
+                cells = line.split("\t")
+                if header is None:
+                    header = cells
+                    if tuple(header) != _COLUMNS:
+                        raise DomainError(f"unexpected manifest columns {header}")
+                    continue
+                if len(cells) != len(_COLUMNS):
+                    raise DomainError(f"malformed manifest row: {line!r}")
+                # The cells follow the record's fields, _COLUMNS order.
+                image, mask, cls, strategy, split, seed, prov = cells
+                records.append(ManifestRecord(image, mask, int(cls), strategy, split, int(seed), prov))
+    except ValueError as exc:
+        raise DomainError(f"{exc} in {path}") from None
     if header is None:
         raise DomainError(f"manifest {path} has no header row")
     return records, comments

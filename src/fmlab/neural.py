@@ -5,9 +5,12 @@ samples. Conditioning enters through a sinusoidal time embedding summed with
 a label embedding and passed through a two-layer MLP whose output is added
 to the first hidden pre-activation; mask-conditional models additionally
 concatenate the flattened two-channel one-hot mask to the input features.
-Sampling binds a solve's condition once (VelocityModel.bind): it adds the
-precomputed mask term to the first pre-activation without concatenating, and
-reuses z across the rows and evaluations that share it. A model is
+Sampling binds a solve's condition and guidance weight once
+(VelocityModel.bind): it adds the precomputed mask term to the first
+pre-activation without concatenating, and reuses z across the rows and
+evaluations that share it. A guided evaluation computes the first layer's
+product with x once for the conditional and null halves, and combines the
+halves (classifier-free guidance) before the affine output layer. A model is
 mask-conditional exactly when it is built with a mask_shape. Everything is
 float64 numpy and bit-deterministic for a fixed seed.
 """
@@ -255,13 +258,23 @@ class VelocityModel:
         z += p["bz2"]
         return z, e, zh, zh_sig
 
-    def _forward_batch(self, x: np.ndarray, t: np.ndarray, cond, *, pre=None, z=None):
+    def _forward_batch(self, x: np.ndarray, t: np.ndarray, cond, *, pre=None, z=None, omega=None):
         """Network output for the rows of x and the cache backward reads.
 
         Training passes the prepared cond alone. A bound solve also passes
         pre, the first layer's condition term (mask term plus b_in) that
         replaces concatenating cond to x, and z, the conditioning vector,
-        either of which may be one row shared by every row of x."""
+        either of which may be one row shared by every row of x.
+
+        A guided bound solve also passes omega. x then holds the B rows that
+        the conditional and null halves share, so x @ w_in[:D] is computed
+        once, and pre (mask models) or z (class models) holds 2B rows,
+        conditional half first. The hidden layers run on the 2B rows, and
+        the halves are combined as cfg_combine does before the output layer,
+        which then runs on B rows. Since that layer is affine, this equals
+        cfg_combine of the two outputs in real arithmetic. The cache serves
+        backward only for calls without omega.
+        """
         labels = cond if self.mask_shape is None else None
         p = self._p
         e = zh = zh_sig = None
@@ -277,42 +290,54 @@ class VelocityModel:
         h = x_in
         for w, b in [first] + [(p[w], p[b]) for w, b in self._hidden]:
             h = h @ w
-            h += b
-            h += z
+            for term in (b, z):
+                if term.ndim == 2 and len(term) > len(h):  # guided first layer: the halves share h
+                    h = np.add(h, term.reshape(2, len(h), -1)).reshape(len(term), -1)
+                else:
+                    h += term
             sig = _sigmoid(h)
             h *= sig
             hs.append(h)
             sigs.append(sig)
+        if omega is not None:
+            h_c, h_u = h.reshape(2, len(x), -1)
+            h = h_c - h_u
+            h *= omega
+            h += h_u
         out = h @ p["w_out"]
         out += p["b_out"]
         cache = {"x_in": x_in, "e": e, "labels": labels, "zh": zh, "zh_sig": zh_sig, "hs": hs, "sigs": sigs}
         return out, cache
 
-    def bind(self, y, guided: bool, batch: int) -> Callable[[np.ndarray, float], np.ndarray]:
-        """Velocity v(x, t) for one ODE solve of batch rows under condition y.
+    def bind(self, y, omega: float | None, batch: int) -> Callable[[np.ndarray, float], np.ndarray]:
+        """Velocity v(x, t) for one ODE solve of batch rows under condition y,
+        guided with weight omega unless omega is None or 1.
 
         y is validated and prepared once, as forward would for batch rows,
         and raises the same errors. Mask models precompute the first-layer
         mask term [m, 1-m] @ w_in[D:] + b_in per row and compute z, which
         depends on t alone, as one row; class models compute z once per t for
         the num_classes + 1 labels and gather it per row. v(x, t) takes x
-        shaped (D,) or (B, D) and a scalar t. Unguided it returns the
-        velocity shaped like x; guided it stacks the conditional and null
-        rows into one _forward_batch call of 2B rows and returns them as
-        (2,) + x.shape, conditional first.
+        shaped (D,) or (B, D) and a scalar t, and returns the velocity shaped
+        like x. Guided, the null condition's term or z is stacked under the
+        conditional one, and one _forward_batch call with omega returns
+        cfg_combine(v_cond, v_null, omega); omega None or 1 is the unguided
+        path, so a solve at omega 1 is bit-identical to an unguided one.
         """
+        if omega == 1.0:
+            omega = None
         p, d = self._p, self.data_dim
         cond = self._prepare_cond(y, batch)
         if self.mask_shape is None:
             labels, pre = cond, None
-            if guided:
+            if omega is not None:
                 labels = np.concatenate([labels, self._prepare_cond(None, batch)])
             table = np.arange(self.num_classes + 1)
         else:
             labels, table = None, None
             pre = cond @ p["w_in"][d:]
             pre += p["b_in"]
-            if guided:
+            if omega is not None:
                 null = self._prepare_cond(None, 1) @ p["w_in"][d:]
                 null += p["b_in"]
                 pre = np.concatenate([pre, np.broadcast_to(null, pre.shape)])
@@ -327,10 +352,8 @@ class VelocityModel:
                 tb = np.full(1 if table is None else len(table), float(t))
                 z = self._conditioning(tb, table)[0]
                 z_t, z = t, (z if table is None else z[labels])
-            if guided:
-                xb = np.concatenate([xb, xb])
-            out, _ = self._forward_batch(xb, t, labels, pre=pre, z=z)
-            return out.reshape((2,) + np.shape(x) if guided else np.shape(x))
+            out, _ = self._forward_batch(xb, t, labels, pre=pre, z=z, omega=omega)
+            return out.reshape(np.shape(x))
 
         return velocity
 

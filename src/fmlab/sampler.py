@@ -2,8 +2,10 @@
 
 Fixed uniform step grids with left-endpoint Euler or Heun (trapezoidal
 predictor-corrector). Velocity sources are either a VelocityModel, bound to
-its condition once per solve, or any callable v(x, t, y) -> array. Optional
-classifier-free guidance wraps every velocity evaluation.
+its condition and guidance weight once per solve, or any callable
+v(x, t, y) -> array. Optional classifier-free guidance combines the
+conditional and null velocities at every evaluation; a bound VelocityModel
+combines them inside its one network call.
 """
 from __future__ import annotations
 
@@ -48,16 +50,14 @@ def _guard(x: np.ndarray, step: int) -> None:
 def _velocity(model, x: np.ndarray, y, omega: float | None):
     """The solve's velocity v(state, t), guided when omega is set and not 1.
 
-    A model with bind (VelocityModel) is bound to y once and evaluates the
-    conditional and null rows in one stacked call; a plain callable
-    v(x, t, y) is called once per branch, with None as the null condition.
+    A model with bind (VelocityModel) is bound to y and omega once and
+    returns the guided velocity itself, from one network call per
+    evaluation; a plain callable v(x, t, y) is called once per branch, with
+    None as the null condition, and the branches meet in cfg_combine.
     """
-    guided = omega is not None and omega != 1.0
     if hasattr(model, "bind"):
-        bound = model.bind(y, guided, 1 if x.ndim == 1 else len(x))
-        if not guided:
-            return bound
-        return lambda state, t: cfg_combine(*bound(state, t), omega)
+        return model.bind(y, omega, 1 if x.ndim == 1 else len(x))
+    guided = omega is not None and omega != 1.0
 
     def velocity(state, t):
         vc = np.asarray(model(state, t, y), dtype=np.float64)

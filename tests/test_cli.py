@@ -759,10 +759,8 @@ def test_a_generator_with_a_missing_or_malformed_recorded_key_exits_2(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", _SYNTHESIZE, ids=["indomain", "crossdomain"])
-def test_a_generator_and_a_renderer_of_other_mask_sizes_exit_2_naming_both(
-    workspace, tmp_path, capsys, command
-):
+def _train_4x4_generator(tmp_path, capsys):
+    """A mask_generator checkpoint of 4x4 masks, against the workspace's 8x8 renderer."""
     masks = tmp_path / "masks4"
     masks.mkdir()
     for i, m in enumerate(toys.toy_mask_dataset(2, side=4, seed=0)[0]):
@@ -774,12 +772,32 @@ def test_a_generator_and_a_renderer_of_other_mask_sizes_exit_2_naming_both(
     ckpt = tmp_path / "mask4.fmck"
     assert main(["train", "--config", cfg, "--out", str(ckpt)]) == 0
     capsys.readouterr()
+    return ckpt
+
+
+@pytest.mark.parametrize("command", _SYNTHESIZE, ids=["indomain", "crossdomain"])
+def test_a_generator_and_a_renderer_of_other_mask_sizes_exit_2_naming_both(
+    workspace, tmp_path, capsys, command
+):
+    ckpt = _train_4x4_generator(tmp_path, capsys)
     out = tmp_path / "out"
     assert _synthesize_with(workspace, out, command, ckpt) == 2
     err = capsys.readouterr().err
     render = workspace / "render.fmck"
     assert f"error: --mask-model {ckpt} makes 16-pixel masks, --image-model {render} takes (8, 8)" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", _SYNTHESIZE, ids=["indomain", "crossdomain"])
+def test_synthesize_checks_both_models_before_reading_a_target_mask(
+    workspace, tmp_path, capsys, monkeypatch, command
+):
+    ckpt = _train_4x4_generator(tmp_path, capsys)
+    monkeypatch.setattr(rasters, "load_pgm", lambda *a: pytest.fail("a raster was read"))
+    assert _synthesize_with(workspace, tmp_path / "out", command, ckpt) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --mask-model")
+    assert "target stats" not in err
 
 
 @pytest.mark.parametrize("command", _SYNTHESIZE, ids=["indomain", "crossdomain"])

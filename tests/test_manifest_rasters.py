@@ -285,6 +285,30 @@ def test_manifest_rejects_bad_rows(tmp_path):
         read_manifest(empty)
 
 
+_HEADER_ROW = "image_path\tmask_path\tcoverage_class\tstrategy\tsplit\tseed\tprovenance\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("image_path\tmask_path\n", "unexpected manifest columns ['image_path', 'mask_path']"),
+        (_HEADER_ROW + "i.pgm\tm.pgm\t0\n", "malformed manifest row: 'i.pgm\\tm.pgm\\t0'"),
+        (_HEADER_ROW + "\tm.pgm\tx\treal\t\t0\t\n", "invalid literal for int() with base 10: 'x'"),
+        (_HEADER_ROW + "\tm.pgm\t0\treal\t\t1.5\t\n", "invalid literal for int() with base 10: '1.5'"),
+        (_HEADER_ROW + "\tm.pgm\t0\tbogus\t\t0\t\n", "unknown strategy 'bogus'"),
+        (_HEADER_ROW + "\tm\u00e9.pgm\t0\treal\t\t0\t\n", "'ascii' codec can't decode byte 0xc3"),
+    ],
+    ids=["columns", "row", "coverage_class", "seed", "strategy", "non-ascii"],
+)
+def test_manifest_errors_name_the_manifest(tmp_path, text, message):
+    path = tmp_path / "bad.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DomainError) as err:
+        read_manifest(path)
+    assert str(err.value).startswith(message)
+    assert str(err.value).endswith(f" in {path}")
+
+
 def test_record_field_validation():
     with pytest.raises(DomainError):
         ManifestRecord("i", "m", 0, "bogus_strategy")

@@ -236,23 +236,63 @@ def test_bound_solve_with_omega_one_is_bit_identical_to_unguided(mode):
 
 
 @pytest.mark.parametrize("mode", ["class_conditional", "mask_conditional"])
-def test_guided_euler_solve_stacks_both_branches_into_one_call_per_step(mode, monkeypatch):
+def test_guided_euler_solve_makes_one_call_per_step_on_the_shared_rows(mode, monkeypatch):
     model = _random_model(mode)
-    rows = []
+    calls = []
     original = VelocityModel._forward_batch
 
     def counting(self, x, t, cond, **kwargs):
-        rows.append(x.shape[0])
-        return original(self, x, t, cond, **kwargs)
+        out, cache = original(self, x, t, cond, **kwargs)
+        calls.append((x.shape[0], kwargs.get("omega"), out.shape[0]))
+        return out, cache
 
     monkeypatch.setattr(VelocityModel, "_forward_batch", counting)
     monkeypatch.setattr(VelocityModel, "forward", None)  # a solve never calls it
     rng = np.random.default_rng(5)
-    integrate(model, rng.standard_normal((5, 16)), _conditions(mode, rng, 5), IntegratorConfig("euler", 11, 1.2))
-    assert rows == [10] * 11
-    rows.clear()
+    out = integrate(model, rng.standard_normal((5, 16)), _conditions(mode, rng, 5), IntegratorConfig("euler", 11, 1.2))
+    assert out.shape == (5, 16)
+    assert calls == [(5, 1.2, 5)] * 11
+    calls.clear()
     integrate(model, rng.standard_normal((5, 16)), _conditions(mode, rng, 5), IntegratorConfig("euler", 11))
-    assert rows == [5] * 11
+    assert calls == [(5, None, 5)] * 11
+
+
+@pytest.mark.parametrize("batch", [1, 7, 256])
+@pytest.mark.parametrize("method", ["euler", "heun"])
+@pytest.mark.parametrize("mode", ["class_conditional", "mask_conditional"])
+def test_guided_solve_of_a_bench_sized_model_matches_two_call_solve(mode, method, batch):
+    # The 16x16 shape, width and depth the benchmark's models have.
+    kind = dict(num_classes=4) if mode == "class_conditional" else dict(mask_shape=(16, 16))
+    model = VelocityModel(data_dim=256, width=128, hidden_layers=2, seed=6, **kind)
+    model.set_params(np.random.default_rng(7).normal(0.0, 0.1, model.n_params))
+    rng = np.random.default_rng(8)
+    x0 = rng.standard_normal((batch, 256))
+    if mode == "class_conditional":
+        y = rng.integers(0, 5, batch)
+    else:
+        y = (rng.random((batch, 16, 16)) < 0.3).astype(np.uint8)
+    cfg = IntegratorConfig(method, 4, cfg_omega=1.2)
+    bound = integrate(model, x0, y, cfg)
+    assert np.max(np.abs(bound - _two_call_integrate(model, x0, y, cfg))) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["class_conditional", "mask_conditional"])
+def test_bind_with_omega_one_or_none_is_the_unguided_path(mode, monkeypatch):
+    model = _random_model(mode)
+    rng = np.random.default_rng(9)
+    x, y = rng.standard_normal((6, 16)), _conditions(mode, rng, 6)
+    omegas = []
+    original = VelocityModel._forward_batch
+
+    def recording(self, *args, **kwargs):
+        omegas.append(kwargs.get("omega"))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(VelocityModel, "_forward_batch", recording)
+    unguided = model.bind(y, None, 6)(x, 0.25)
+    assert np.array_equal(model.bind(y, 1.0, 6)(x, 0.25), unguided)
+    assert omegas == [None, None]
+    assert np.max(np.abs(unguided - model.forward(x, 0.25, y))) <= 1e-12
 
 
 def _error_of(call):
@@ -261,8 +301,8 @@ def _error_of(call):
     return type(err.value), str(err.value)
 
 
-@pytest.mark.parametrize("guided", [False, True])
-def test_bind_raises_what_forward_raises(guided):
+@pytest.mark.parametrize("omega", [None, 1.2])
+def test_bind_raises_what_forward_raises(omega):
     cls_model, mask_model = _random_model("class_conditional"), _random_model("mask_conditional")
     x = np.zeros((3, 16))
     cases = [
@@ -278,4 +318,4 @@ def test_bind_raises_what_forward_raises(guided):
     for model, xb, y in cases:
         expected = _error_of(lambda: model.forward(xb, 0.5, y))
         batch = 1 if xb.ndim == 1 else len(xb)
-        assert _error_of(lambda: model.bind(y, guided, batch)(xb, 0.5)) == expected
+        assert _error_of(lambda: model.bind(y, omega, batch)(xb, 0.5)) == expected
