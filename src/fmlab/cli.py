@@ -82,7 +82,7 @@ def parse_config(path) -> dict[str, str]:
     cfg: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="ascii")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read config {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -144,6 +144,18 @@ def _sorted_files(directory) -> list[Path]:
 def _load_mask_dir(directory) -> tuple[list[np.ndarray], list[Path]]:
     files = _sorted_files(directory)
     return [rasters.load_mask(p) for p in files], files
+
+
+def _load_square(load, paths, side: int) -> np.ndarray:
+    """load(path) of every path, stacked; each raster is checked to be side x
+    side as it is read, and the first that is not raises ShapeError naming it."""
+    out = []
+    for path in paths:
+        raster = load(path)
+        if raster.shape != (side, side):
+            raise ShapeError(f"{path} is {raster.shape}, config resolution is {side}")
+        out.append(raster)
+    return np.stack(out)
 
 
 def _record_seeds(base_seed: int, count: int) -> np.ndarray:
@@ -262,22 +274,19 @@ def cmd_train(args) -> int:
     if task == "two_gaussians":
         data = toys.two_gaussians(cfg["n_per_class"], seed=seed + 1)
     else:
-        mask_list, mask_files = _load_mask_dir(cfg["data_masks"])
-        masks = np.stack(mask_list)
-        if masks.shape[1:] != (side, side):
-            raise ShapeError(f"masks are {masks.shape[1:]}, config resolution is {side}")
+        mask_files = _sorted_files(cfg["data_masks"])
+        masks = _load_square(rasters.load_mask, mask_files, side)
     if task == "mask_generator":
         labels = mask_ops.assign_class(masks.mean(axis=(1, 2)), bins)
         data = (masks.reshape(len(masks), -1).astype(np.float64), labels)
     elif mask_conditional:
         # Images pair with masks by file name.
-        images = []
-        for mf in mask_files:
-            img_path = Path(cfg["data_images"]) / mf.name
+        img_paths = [Path(cfg["data_images"]) / mf.name for mf in mask_files]
+        for img_path in img_paths:
             if not img_path.exists():
-                raise DomainError(f"no image paired with mask {mf.name}")
-            images.append(rasters.load_image(img_path).reshape(-1))
-        data = (np.stack(images), masks.astype(np.float64))
+                raise DomainError(f"no image paired with mask {img_path.name}")
+        images = _load_square(rasters.load_image, img_paths, side).reshape(-1, data_dim)
+        data = (images, masks.astype(np.float64))
 
     log = ["step\tloss\n"]
 
@@ -287,7 +296,7 @@ def cmd_train(args) -> int:
 
     if task == "injector":
         bg_files = _sorted_files(cfg["data_backgrounds"])
-        backgrounds = np.stack([rasters.load_image(p).reshape(-1) for p in bg_files])
+        backgrounds = _load_square(rasters.load_image, bg_files, side).reshape(-1, data_dim)
         state = train_rf_injector(model, data, backgrounds, sched, tcfg, callback=on_step)
     else:
         state = train_fm(model, data, sched, tcfg, callback=on_step)

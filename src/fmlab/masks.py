@@ -269,10 +269,10 @@ def propagate(m, policy: PropagationPolicy) -> list[MaskVariant]:
 
     Each variant draws its own generator from (policy.seed, index), composes
     dilation/erosion (globally or window-restricted) with an integer jitter,
-    and, when preserve_connectivity is set, falls back to jitter-only (then
-    identity) whenever the composition would empty the mask or split
-    components. Fallbacks are recorded in the variant provenance. m is
-    validated once, up front.
+    and, when preserve_connectivity is set, falls back to jitter-only
+    whenever the composition would empty the mask or split components, and
+    to identity when the jitter alone would. Fallbacks are recorded in the
+    variant provenance. m is validated once, up front.
     """
     m = as_mask(m)
     if policy.preserve_connectivity:
@@ -296,14 +296,13 @@ def propagate(m, policy: PropagationPolicy) -> list[MaskVariant]:
         cand = _translate(cand, dx, dy)
         tag = f"dilate={n_d};erode={n_e};local={int(local)};jitter=({dx},{dy})"
 
-        if policy.preserve_connectivity:
-            n_comp = _count_components(cand)
-            if n_comp == 0 or n_comp > base_components:
-                cand = _translate(m, dx, dy)
-                tag += ";fallback=jitter_only"
-                if cand.sum() == 0:
-                    cand = m.copy()
-                    tag += ";fallback=identity"
+        if policy.preserve_connectivity and not 0 < _count_components(cand) <= base_components:
+            # Clipping at the border can split or empty the shifted source too.
+            cand = _translate(m, dx, dy)
+            tag += ";fallback=jitter_only"
+            if not 0 < _count_components(cand) <= base_components:
+                cand = m.copy()
+                tag += ";fallback=identity"
         out.append(MaskVariant(mask=cand, provenance=tag))
     return out
 

@@ -272,15 +272,22 @@ def save_feature_set_tsv(path, features) -> None:
 
 
 def load_feature_set_tsv(path) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split("\t")])
-    if not rows:
-        raise DomainError(f"empty feature set file {path}")
-    return np.asarray(rows, dtype=np.float64)
+    """The (n, dim) finite float rows of a feature TSV; every error names path."""
+    # DomainError is a ValueError, as are a non-number cell and a non-ASCII byte.
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            rows = [[float(tok) for tok in line.split("\t")] for line in map(str.strip, fh) if line]
+        if not rows:
+            raise DomainError("empty feature set file")
+        lengths = sorted({len(row) for row in rows})
+        if len(lengths) > 1:
+            raise DomainError(f"feature rows have {lengths} columns")
+        features = np.asarray(rows, dtype=np.float64)
+        if not np.isfinite(features).all():
+            raise DomainError("feature set contains non-finite entries")
+    except ValueError as exc:
+        raise DomainError(f"{exc} in {path}") from None
+    return features
 
 
 def _metric_report(values: dict[str, float]) -> tuple[str, str]:

@@ -2,17 +2,17 @@
 
 The model is a small dense network (SiLU activations) over flattened
 samples. Conditioning enters through a sinusoidal time embedding summed with
-a label embedding and passed through a two-layer MLP whose output is added
-to the first hidden pre-activation; mask-conditional models additionally
-concatenate the flattened two-channel one-hot mask to the input features.
-Sampling binds a solve's condition and guidance weight once
-(VelocityModel.bind): it adds the precomputed mask term to the first
-pre-activation without concatenating, and reuses z across the rows and
-evaluations that share it. A guided evaluation computes the first layer's
-product with x once for the conditional and null halves, and combines the
-halves (classifier-free guidance) before the affine output layer. A model is
-mask-conditional exactly when it is built with a mask_shape. Everything is
-float64 numpy and bit-deterministic for a fixed seed.
+a label embedding and passed through a two-layer MLP whose output z is added
+to every hidden pre-activation. The first pre-activation is x @ w_in[:D]
+plus one condition term: b_in for class-conditional models, and
+[m, 1-m] @ w_in[D:] + b_in for mask-conditional ones, with m the flattened
+mask. Sampling binds a solve's condition and guidance weight once
+(VelocityModel.bind), computing that term once per solve and z once per t.
+A guided evaluation computes x @ w_in[:D] once for the conditional and null
+halves, and combines them (classifier-free guidance) before the affine
+output layer. A model is mask-conditional exactly when it is built with a
+mask_shape. Everything is float64 numpy and bit-deterministic for a fixed
+seed.
 """
 from __future__ import annotations
 
@@ -95,9 +95,9 @@ class VelocityModel:
 
     Without mask_shape the model is class-conditional: it embeds integer
     labels, and row num_classes is the reserved null token. With mask_shape
-    it is mask-conditional: it concatenates the flattened one-hot mask, uses
-    the time embedding alone on the conditioning path and ignores
-    num_classes (recorded as 0).
+    it is mask-conditional: the flattened one-hot mask enters the first layer
+    through w_in's rows past data_dim, the time embedding alone feeds the
+    conditioning path, and num_classes is ignored (recorded as 0).
     The conditioning vector z is added to every hidden pre-activation, so the
     label/time signal reaches each block rather than only the input. None
     always denotes the null condition (null token / all-zeros mask). The
@@ -258,43 +258,45 @@ class VelocityModel:
         z += p["bz2"]
         return z, e, zh, zh_sig
 
+    def _first_term(self, cond) -> np.ndarray:
+        """The first layer's condition term for the prepared cond: b_in for
+        class models, [m, 1-m] @ w_in[D:] + b_in per row for mask models."""
+        if self.mask_shape is None:
+            return self._p["b_in"]
+        return cond @ self._p["w_in"][self.data_dim :] + self._p["b_in"]
+
     def _forward_batch(self, x: np.ndarray, t: np.ndarray, cond, *, pre=None, z=None, omega=None):
         """Network output for the rows of x and the cache backward reads.
 
-        Training passes the prepared cond alone. A bound solve also passes
-        pre, the first layer's condition term (mask term plus b_in) that
-        replaces concatenating cond to x, and z, the conditioning vector,
-        either of which may be one row shared by every row of x.
+        The first pre-activation is x @ w_in[:D] + pre + z. Training passes
+        the prepared cond alone, and pre (_first_term of cond) and z are
+        computed from it. A bound solve also passes pre and z, either of
+        which may be one row shared by every row of x.
 
         A guided bound solve also passes omega. x then holds the B rows that
-        the conditional and null halves share, so x @ w_in[:D] is computed
-        once, and pre (mask models) or z (class models) holds 2B rows,
-        conditional half first. The hidden layers run on the 2B rows, and
-        the halves are combined as cfg_combine does before the output layer,
-        which then runs on B rows. Since that layer is affine, this equals
-        cfg_combine of the two outputs in real arithmetic. The cache serves
-        backward only for calls without omega.
+        the conditional and null halves share: x @ w_in[:D] is computed once
+        and stacked to 2B rows, and pre (mask models) or z (class models)
+        holds 2B rows, conditional half first. The halves are combined as
+        cfg_combine does before the output layer, which then runs on B rows;
+        since that layer is affine, this equals cfg_combine of the two
+        outputs in real arithmetic. The cache serves backward only for calls
+        without omega.
         """
-        labels = cond if self.mask_shape is None else None
         p = self._p
         e = zh = zh_sig = None
         if z is None:
-            z, e, zh, zh_sig = self._conditioning(t, labels)
+            z, e, zh, zh_sig = self._conditioning(t, cond if self.mask_shape is None else None)
         if pre is None:
-            x_in = x if labels is not None else np.concatenate([x, cond], axis=1)
-            first = (p["w_in"], p["b_in"])
-        else:
-            x_in = x
-            first = (p["w_in"][: self.data_dim], pre)
+            pre = self._first_term(cond)
+        h = x @ p["w_in"][: self.data_dim]
+        if omega is not None:
+            h = np.concatenate([h, h])
         hs, sigs = [], []
-        h = x_in
-        for w, b in [first] + [(p[w], p[b]) for w, b in self._hidden]:
-            h = h @ w
-            for term in (b, z):
-                if term.ndim == 2 and len(term) > len(h):  # guided first layer: the halves share h
-                    h = np.add(h, term.reshape(2, len(h), -1)).reshape(len(term), -1)
-                else:
-                    h += term
+        for w, b in [(None, pre)] + [(p[w], p[b]) for w, b in self._hidden]:
+            if w is not None:
+                h = h @ w
+            h += b
+            h += z
             sig = _sigmoid(h)
             h *= sig
             hs.append(h)
@@ -306,7 +308,7 @@ class VelocityModel:
             h += h_u
         out = h @ p["w_out"]
         out += p["b_out"]
-        cache = {"x_in": x_in, "e": e, "labels": labels, "zh": zh, "zh_sig": zh_sig, "hs": hs, "sigs": sigs}
+        cache = {"x": x, "cond": cond, "e": e, "zh": zh, "zh_sig": zh_sig, "hs": hs, "sigs": sigs}
         return out, cache
 
     def bind(self, y, omega: float | None, batch: int) -> Callable[[np.ndarray, float], np.ndarray]:
@@ -314,33 +316,27 @@ class VelocityModel:
         guided with weight omega unless omega is None or 1.
 
         y is validated and prepared once, as forward would for batch rows,
-        and raises the same errors. Mask models precompute the first-layer
-        mask term [m, 1-m] @ w_in[D:] + b_in per row and compute z, which
-        depends on t alone, as one row; class models compute z once per t for
-        the num_classes + 1 labels and gather it per row. v(x, t) takes x
-        shaped (D,) or (B, D) and a scalar t, and returns the velocity shaped
-        like x. Guided, the null condition's term or z is stacked under the
-        conditional one, and one _forward_batch call with omega returns
+        and raises the same errors. The first layer's condition term
+        (_first_term) is computed once, and z once per t: as one row for
+        mask models, and for the num_classes + 1 labels, gathered per row,
+        for class models. v(x, t) takes x shaped (D,) or (B, D) and a scalar
+        t, and returns the velocity shaped like x. Guided, the null
+        condition's mask term or labels are stacked under the conditional
+        ones, and one _forward_batch call with omega returns
         cfg_combine(v_cond, v_null, omega); omega None or 1 is the unguided
         path, so a solve at omega 1 is bit-identical to an unguided one.
         """
         if omega == 1.0:
             omega = None
-        p, d = self._p, self.data_dim
         cond = self._prepare_cond(y, batch)
+        pre, table = self._first_term(cond), None
         if self.mask_shape is None:
-            labels, pre = cond, None
-            if omega is not None:
-                labels = np.concatenate([labels, self._prepare_cond(None, batch)])
             table = np.arange(self.num_classes + 1)
-        else:
-            labels, table = None, None
-            pre = cond @ p["w_in"][d:]
-            pre += p["b_in"]
             if omega is not None:
-                null = self._prepare_cond(None, 1) @ p["w_in"][d:]
-                null += p["b_in"]
-                pre = np.concatenate([pre, np.broadcast_to(null, pre.shape)])
+                cond = np.concatenate([cond, self._prepare_cond(None, batch)])
+        elif omega is not None:
+            null = self._first_term(self._prepare_cond(None, 1))
+            pre = np.concatenate([pre, np.broadcast_to(null, pre.shape)])
         z_t, z = None, None
 
         def velocity(x, t: float) -> np.ndarray:
@@ -351,8 +347,8 @@ class VelocityModel:
             if z_t != t:  # Heun's corrector and the next predictor share t
                 tb = np.full(1 if table is None else len(table), float(t))
                 z = self._conditioning(tb, table)[0]
-                z_t, z = t, (z if table is None else z[labels])
-            out, _ = self._forward_batch(xb, t, labels, pre=pre, z=z, omega=omega)
+                z_t, z = t, (z if table is None else z[cond])
+            out, _ = self._forward_batch(xb, t, cond, pre=pre, z=z, omega=omega)
             return out.reshape(np.shape(x))
 
         return velocity
@@ -374,7 +370,9 @@ class VelocityModel:
             gz += gpre
             gh = gpre @ p[f"wh{layer}"].T
         gpre0 = _silu_grad(gh, hs[0], sigs[0])
-        np.matmul(cache["x_in"].T, gpre0, out=g["w_in"])
+        np.matmul(cache["x"].T, gpre0, out=g["w_in"][: self.data_dim])
+        if self.mask_shape is not None:  # the rows _first_term multiplies
+            np.matmul(cache["cond"].T, gpre0, out=g["w_in"][self.data_dim :])
         gpre0.sum(axis=0, out=g["b_in"])
         gz += gpre0
 
@@ -386,7 +384,7 @@ class VelocityModel:
         gzh_pre.sum(axis=0, out=g["bz1"])
         if self.mask_shape is None:
             g["emb"][...] = 0.0
-            np.add.at(g["emb"], cache["labels"], gzh_pre @ p["wz1"].T)
+            np.add.at(g["emb"], cache["cond"], gzh_pre @ p["wz1"].T)
         return self._gflat
 
     def forward(self, x, t, y=None) -> np.ndarray:

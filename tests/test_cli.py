@@ -95,6 +95,14 @@ def test_missing_config_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_a_config_with_a_non_ascii_byte_exits_2_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "a.cfg"
+    cfg.write_bytes(b"task = two_gaussians\n# caf\xc3\xa9\nsteps = 2\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.fmck")]) == 2
+    assert f"cannot read config {cfg}: 'ascii' codec" in capsys.readouterr().err
+    assert not (tmp_path / "m.fmck").exists()
+
+
 # -- split counts ------------------------------------------------------------------
 
 
@@ -275,6 +283,28 @@ def test_coverage_classes_equal_assign_class_of_coverage(h, w, num_classes, data
     masks = np.stack([(np.arange(n) < c).astype(np.uint8).reshape(h, w) for c in range(n + 1)])
     want = [assign_class(coverage(m), bins) for m in masks]
     assert assign_class(masks.mean(axis=(1, 2)), bins).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "task, folder",
+    [("mask_generator", "masks"), ("image_renderer", "images"), ("injector", "images"), ("injector", "backgrounds")],
+)
+def test_train_names_the_raster_whose_size_is_wrong(workspace, tmp_path, capsys, task, folder):
+    data = {}
+    for name in ("masks", "images", "backgrounds"):
+        data[name] = tmp_path / name
+        data[name].mkdir()
+        for src in sorted((workspace / name).iterdir()):
+            (data[name] / src.name).write_bytes(src.read_bytes())
+    odd = sorted(data[folder].iterdir())[2]
+    save_mask(odd, np.eye(4, dtype=np.uint8))
+    sizes = dict(resolution=8, width=8, time_embed_dim=4, steps=2, batch=4)
+    data_keys = {f"data_{name}": path for name, path in data.items()}
+    cfg = write_config(tmp_path / "odd.cfg", task=task, **data_keys, **sizes)
+    out = tmp_path / "m.fmck"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+    assert f"error: {odd} is (4, 4), config resolution is 8" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_missing_data_exits_2(tmp_path, capsys):
@@ -1279,6 +1309,32 @@ def test_evaluate_reports_fid_and_kid_from_feature_tsvs(tmp_path):
     assert fid_val == pytest.approx(fid(real, syn))
     assert kid_val == pytest.approx(1000.0 * kid(real, syn))
     assert miou == 1.0 and f1_val == 1.0
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (b"1.0\t2.0\n3.0\tx\n", "could not convert string to float: 'x'"),
+        (b"1.0\t2.0\n3.0\tnan\n", "feature set contains non-finite entries"),
+        (b"1.0\t2.0\n3.0\t\xc3\xa9\n", "can't decode byte 0xc3 in position 12: ordinal not in range(128)"),
+        (b"1.0\t2.0\n3.0\t4.0\t5.0\n", "feature rows have [2, 3] columns"),
+    ],
+    ids=["not-a-number", "nan", "non-ascii", "ragged"],
+)
+def test_evaluate_names_a_malformed_feature_tsv(tmp_path, capsys, body, message):
+    from fmlab.metrics import save_feature_set_tsv
+
+    masks = tmp_path / "masks"
+    masks.mkdir()
+    save_mask(masks / "a.pgm", np.eye(4, dtype=np.uint8))
+    real, syn = tmp_path / "real.tsv", tmp_path / "syn.tsv"
+    real.write_bytes(body)
+    save_feature_set_tsv(syn, np.random.default_rng(0).standard_normal((5, 2)))
+    out = tmp_path / "eval.tsv"
+    argv = ["evaluate", "--pred", str(masks), "--gt", str(masks), "--out", str(out)]
+    assert main(argv + ["--features-real", str(real), "--features-syn", str(syn)]) == 2
+    assert f"{message} in {real}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_feature_flags_must_pair(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fmlab import masks as masks_module
@@ -406,6 +406,17 @@ def test_components_label_raster_matches_reference(h, w, density, seed):
 # -- propagation --------------------------------------------------------------------
 
 
+_SMALL_MASKS = st.tuples(
+    st.integers(1, 14), st.integers(1, 14), st.integers(0, 2**32 - 1), st.floats(0.05, 0.95)
+)
+
+
+def _mask_from(spec):
+    h, w, seed, density = spec
+    m = (np.random.default_rng(seed).random((h, w)) < density).astype(np.uint8)
+    return dilate(m) if seed % 2 else m  # dilated masks have thick strokes
+
+
 def _line(side=8):
     m = np.zeros((side, side), dtype=np.uint8)
     m[3, 1:7] = 1
@@ -517,6 +528,44 @@ def test_propagate_fallback_recorded_in_provenance():
         assert v.mask.sum() > 0
 
 
+def _u_shape():
+    """Columns 1 and 4 on rows 1-5 of a 6x6 raster, joined along row 5."""
+    m = np.zeros((6, 6), dtype=np.uint8)
+    m[1:6, [1, 4]] = 1
+    m[5, 1:5] = 1
+    return m
+
+
+def test_propagate_falls_back_to_identity_when_the_jitter_splits_the_mask():
+    # Shifting the U down and right clips its base at the border, which
+    # leaves two columns; the jitter-only fallback must not keep that.
+    m = _u_shape()
+    assert connected_components(m)[0] == 1
+    policy = PropagationPolicy(variants=3, max_dilate=0, max_erode=0, jitter_px=1, seed=1)
+    first = propagate(m, policy)[0]
+    tag = "dilate=0;erode=0;local=0;jitter=(1,1)"
+    assert first.provenance == tag + ";fallback=jitter_only;fallback=identity"
+    assert np.array_equal(first.mask, m)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    _SMALL_MASKS,
+    st.integers(1, 4),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.integers(0, 2**32 - 1),
+)
+def test_propagate_preserving_connectivity_never_empties_or_splits(spec, k, n_d, n_e, jitter, seed):
+    m = _mask_from(spec)
+    assume(m.any())
+    base = connected_components(m)[0]
+    policy = PropagationPolicy(variants=k, max_dilate=n_d, max_erode=n_e, jitter_px=jitter, seed=seed)
+    for variant in propagate(m, policy):
+        assert 0 < connected_components(variant.mask)[0] <= base, variant.provenance
+
+
 def test_propagation_policy_validation():
     with pytest.raises(DomainError):
         PropagationPolicy(variants=0)
@@ -569,17 +618,6 @@ def _reference_skeletonize(m):
                 img[i, j] = 0
             changed |= bool(marked)
     return img[1:-1, 1:-1]
-
-
-_SMALL_MASKS = st.tuples(
-    st.integers(1, 14), st.integers(1, 14), st.integers(0, 2**32 - 1), st.floats(0.05, 0.95)
-)
-
-
-def _mask_from(spec):
-    h, w, seed, density = spec
-    m = (np.random.default_rng(seed).random((h, w)) < density).astype(np.uint8)
-    return dilate(m) if seed % 2 else m  # dilated masks have thick strokes
 
 
 @settings(max_examples=150, deadline=None)

@@ -231,8 +231,9 @@ def test_backward_zero_grad_out():
     assert np.array_equal(g, np.zeros(model.n_params))
 
 
+@pytest.mark.parametrize("hidden_layers", [1, 3])
 @pytest.mark.parametrize("mode", ["class_conditional", "mask_conditional"])
-def test_backward_matches_finite_differences(mode):
+def test_backward_matches_finite_differences(mode, hidden_layers):
     # Central finite-difference oracle over every parameter, h = 1e-5.
     kwargs = (
         dict(num_classes=3, data_dim=2)
@@ -240,7 +241,7 @@ def test_backward_matches_finite_differences(mode):
         else dict(mask_shape=(3, 3), data_dim=9)
     )
     model = random_output(
-        VelocityModel(width=8, hidden_layers=3, time_embed_dim=4, seed=5, **kwargs)
+        VelocityModel(width=8, hidden_layers=hidden_layers, time_embed_dim=4, seed=5, **kwargs)
     )
     rng = np.random.default_rng(3)
     batch = 4

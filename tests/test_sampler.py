@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmlab.errors import DivergenceError, DomainError, ShapeError
 from fmlab.neural import VelocityModel
@@ -319,3 +321,56 @@ def test_bind_raises_what_forward_raises(omega):
         expected = _error_of(lambda: model.forward(xb, 0.5, y))
         batch = 1 if xb.ndim == 1 else len(xb)
         assert _error_of(lambda: model.bind(y, omega, batch)(xb, 0.5)) == expected
+
+
+# Random models of either kind, of any depth and width, with random weights
+# everywhere: 2x3 masks or 3 labels plus the null token, 6 data dims.
+_BOUND_DRAWS = dict(
+    mode=st.sampled_from(["class_conditional", "mask_conditional"]),
+    batch=st.integers(1, 9),
+    width=st.integers(1, 16),
+    hidden_layers=st.integers(1, 3),
+    omega=st.floats(0.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _drawn(mode, batch, width, hidden_layers, seed):
+    """A drawn model, start rows x0 and per-row conditions."""
+    kind = dict(num_classes=3) if mode == "class_conditional" else dict(mask_shape=(2, 3))
+    model = VelocityModel(6, width=width, hidden_layers=hidden_layers, time_embed_dim=4, **kind)
+    rng = np.random.default_rng(seed)
+    model.set_params(rng.normal(0.0, 0.5, model.n_params))
+    if mode == "class_conditional":
+        y = rng.integers(0, 4, batch)
+    else:
+        y = (rng.random((batch, 2, 3)) < 0.4).astype(np.uint8)
+    return model, rng.standard_normal((batch, 6)), y
+
+
+def _relative_gap(a, b) -> float:
+    return float(np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(b))))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(method=st.sampled_from(["euler", "heun"]), **_BOUND_DRAWS)
+def test_guided_bound_solve_of_any_model_matches_two_call_solve(
+    method, mode, batch, width, hidden_layers, omega, seed
+):
+    model, x0, y = _drawn(mode, batch, width, hidden_layers, seed)
+    cfg = IntegratorConfig(method, 3, cfg_omega=omega)
+    reference = _two_call_integrate(model, x0, y, cfg)
+    assert _relative_gap(integrate(model, x0, y, cfg), reference) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(t=st.floats(0.0, 1.0), **_BOUND_DRAWS)
+def test_a_bound_velocity_is_affine_in_the_guidance_weight(
+    t, mode, batch, width, hidden_layers, omega, seed
+):
+    # v(omega) - v(0) = omega * (v(1) - v(0)): v(0) is the null branch and
+    # v(1) the conditional one, and omega 1 or None is the unguided call itself.
+    model, x, y = _drawn(mode, batch, width, hidden_layers, seed)
+    v = {w: model.bind(y, w, batch)(x, t) for w in (None, 0.0, 1.0, omega)}
+    assert np.array_equal(v[1.0], v[None])
+    assert _relative_gap(v[omega] - v[0.0], omega * (v[None] - v[0.0])) <= 1e-12
