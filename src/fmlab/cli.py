@@ -105,11 +105,13 @@ def _value(source, values: dict, key: str, kind: type):
         raise DomainError(f"{source}: '{key}' is {values[key]!r}, not {kind.__name__}") from None
 
 
-def effective_seed(cfg_seed: int) -> int:
-    """FMLAB_SEED when it is set and not empty, else cfg_seed."""
-    if not os.environ.get("FMLAB_SEED"):
-        return cfg_seed
-    return _value("environment", os.environ, "FMLAB_SEED", int)
+def effective_seed(seed: int, source: str) -> int:
+    """FMLAB_SEED when it is set and not empty, else seed; DomainError naming source if < 0."""
+    if os.environ.get("FMLAB_SEED"):
+        seed, source = _value("environment", os.environ, "FMLAB_SEED", int), "FMLAB_SEED"
+    if seed < 0:
+        raise DomainError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 # -- shared helpers -------------------------------------------------------------
@@ -141,21 +143,12 @@ def _sorted_files(directory) -> list[Path]:
     return files
 
 
-def _load_mask_dir(directory) -> tuple[list[np.ndarray], list[Path]]:
-    files = _sorted_files(directory)
-    return [rasters.load_mask(p) for p in files], files
-
-
-def _load_square(load, paths, side: int) -> np.ndarray:
-    """load(path) of every path, stacked; each raster is checked to be side x
-    side as it is read, and the first that is not raises ShapeError naming it."""
-    out = []
-    for path in paths:
-        raster = load(path)
-        if raster.shape != (side, side):
-            raise ShapeError(f"{path} is {raster.shape}, config resolution is {side}")
-        out.append(raster)
-    return np.stack(out)
+def _read_raster(load, path, shape=None, wanted: str = "") -> np.ndarray:
+    """load(path); given shape, ShapeError "<path> is (h, w), <wanted>" for any other size."""
+    raster = load(path)
+    if shape is not None and raster.shape != shape:
+        raise ShapeError(f"{path} is {raster.shape}, {wanted}")
+    return raster
 
 
 def _record_seeds(base_seed: int, count: int) -> np.ndarray:
@@ -255,7 +248,7 @@ def cmd_train(args) -> int:
     cfg.update({key: _value(args.config, cfg, key, type(d)) for key, d in _TRAIN_DEFAULTS.items()})
 
     # Every setting is built, and so checked, before any data is read.
-    seed = effective_seed(cfg["seed"])
+    seed = effective_seed(cfg["seed"], f"{args.config}: 'seed'")
     side, log_every = cfg["resolution"], cfg["log_every"]
     rates = {key: cfg[key] for key in ("lr", "ema_decay", "p_drop")}
     tcfg = TrainConfig(steps=cfg["steps"], batch_size=cfg["batch"], seed=seed, **rates)
@@ -274,8 +267,9 @@ def cmd_train(args) -> int:
     if task == "two_gaussians":
         data = toys.two_gaussians(cfg["n_per_class"], seed=seed + 1)
     else:
+        read = partial(_read_raster, shape=(side, side), wanted=f"config resolution is {side}")
         mask_files = _sorted_files(cfg["data_masks"])
-        masks = _load_square(rasters.load_mask, mask_files, side)
+        masks = np.stack([read(rasters.load_mask, p) for p in mask_files])
     if task == "mask_generator":
         labels = mask_ops.assign_class(masks.mean(axis=(1, 2)), bins)
         data = (masks.reshape(len(masks), -1).astype(np.float64), labels)
@@ -285,7 +279,7 @@ def cmd_train(args) -> int:
         for img_path in img_paths:
             if not img_path.exists():
                 raise DomainError(f"no image paired with mask {img_path.name}")
-        images = _load_square(rasters.load_image, img_paths, side).reshape(-1, data_dim)
+        images = np.stack([read(rasters.load_image, p) for p in img_paths]).reshape(-1, data_dim)
         data = (images, masks.astype(np.float64))
 
     log = ["step\tloss\n"]
@@ -296,7 +290,7 @@ def cmd_train(args) -> int:
 
     if task == "injector":
         bg_files = _sorted_files(cfg["data_backgrounds"])
-        backgrounds = _load_square(rasters.load_image, bg_files, side).reshape(-1, data_dim)
+        backgrounds = np.stack([read(rasters.load_image, p) for p in bg_files]).reshape(-1, data_dim)
         state = train_rf_injector(model, data, backgrounds, sched, tcfg, callback=on_step)
     else:
         state = train_fm(model, data, sched, tcfg, callback=on_step)
@@ -398,7 +392,7 @@ def cmd_synthesize_crossdomain(args) -> int:
     if not 0.0 <= args.multiplier < math.inf:
         raise DomainError(f"multiplier must be finite and >= 0, got {args.multiplier}")
     mask_model, bins, image_model = _load_models(args)
-    target_masks, _ = _load_mask_dir(args.target_masks)
+    target_masks = [rasters.load_mask(p) for p in _sorted_files(args.target_masks)]
     x_target = len(target_masks)
     n_total = math.ceil(args.multiplier * x_target)
     stats = mask_ops.estimate_target_stats(target_masks, args.fraction, bins, seed=args.seed)
@@ -475,11 +469,14 @@ def split_counts(n: int, fractions: tuple[float, ...]) -> list[int]:
 
 
 def cmd_split(args) -> int:
-    fractions = tuple(float(tok) for tok in args.fractions.split(","))
+    try:
+        fractions = tuple(float(tok) for tok in args.fractions.split(","))
+    except ValueError:
+        fractions = ()
     if len(fractions) != 3:
-        raise DomainError("fractions must be three comma-separated numbers")
+        raise DomainError(f"--fractions must be three comma-separated numbers, got {args.fractions}")
     if not (all(0.0 <= f <= 1.0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):
-        raise DomainError(f"fractions must lie in [0, 1] and sum to 1, got {args.fractions}")
+        raise DomainError(f"--fractions must lie in [0, 1] and sum to 1, got {args.fractions}")
     records, comments = read_manifest(args.manifest)
     src_dir = os.path.dirname(os.path.abspath(args.manifest))
     out_dir = os.path.dirname(os.path.abspath(args.out))
@@ -533,17 +530,16 @@ def cmd_evaluate(args) -> int:
     rows = []
     for name in sorted(gt_names):
         check_cell(name, "file name")
-        soft = rasters.load_image(pred_dir / name)
-        pred = (soft >= args.threshold).astype(np.uint8)
         gt = rasters.load_mask(gt_dir / name)
-        counts = metrics.confusion(pred, gt)
+        soft = _read_raster(rasters.load_image, pred_dir / name, gt.shape, f"{gt_dir / name} is {gt.shape}")
+        counts = metrics.confusion(soft >= args.threshold, gt)
         rows.append((name, metrics.iou(counts), metrics.f1(counts)))
     miou = float(np.mean([r[1] for r in rows]))
     mf1 = float(np.mean([r[2] for r in rows]))
     report: dict[str, float] = {}
     if args.features_real is not None:
-        real = metrics.load_feature_set_tsv(args.features_real)
-        syn = metrics.load_feature_set_tsv(args.features_syn)
+        paths = (args.features_real, args.features_syn)
+        real, syn = metrics._check_pair(*map(metrics.load_feature_set_tsv, paths), names=paths)
         report["fid"] = metrics.fid(real, syn)
         report["kid_x1000"] = 1000.0 * metrics.kid(real, syn)
     report.update(miou=miou, f1=mf1)
@@ -569,13 +565,13 @@ def cmd_propagate(args) -> int:
         preserve_connectivity=preserve,
         seed=args.seed,
     )
-    mask_list, files = _load_mask_dir(args.masks)
+    shape = None
     if args.image_model:
         image_model, _ = _load_task("--image-model", args.image_model, "image_renderer")
         shape = image_model.mask_shape
-        for m, src in zip(mask_list, files):
-            if m.shape != shape:
-                raise ShapeError(f"--image-model needs {shape} masks, {src} is {m.shape}")
+    files = _sorted_files(args.masks)
+    wanted = f"--image-model takes {shape} masks"
+    mask_list = [_read_raster(rasters.load_mask, p, shape, wanted) for p in files]
 
     rows, render_seeds, skipped = [], [], []
     for i, (m, src) in enumerate(zip(mask_list, files)):
@@ -602,7 +598,7 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    mask_list, _ = _load_mask_dir(args.masks)
+    mask_list = [rasters.load_mask(p) for p in _sorted_files(args.masks)]
     stats = mask_ops.estimate_target_stats(mask_list, args.fraction, args.bins, seed=args.seed)
     classes = [f"class_{c}\t{float(freq)!r}\n" for c, freq in enumerate(stats.histogram)]
     tail = [f"mean_width\t{stats.mean_width!r}\n", f"n_used\t{stats.n_used}\n"]
@@ -699,7 +695,7 @@ def main(argv=None) -> int:
         # The flag groups commands share are built, and so checked, once and
         # before the command reads anything.
         if "seed" in flags:
-            args.seed = effective_seed(args.seed)
+            args.seed = effective_seed(args.seed, "--seed")
         if "ode_steps" in flags:
             args.icfg = IntegratorConfig(args.method, args.ode_steps, flags.get("cfg_omega"))
         if "num_classes" in flags:

@@ -47,6 +47,14 @@ def _check_feature_set(a, name: str) -> np.ndarray:
     return a
 
 
+def _check_pair(real, syn, names=("real", "syn")) -> tuple[np.ndarray, np.ndarray]:
+    """Both feature sets checked, and of one width; errors call them names."""
+    real, syn = _check_feature_set(real, names[0]), _check_feature_set(syn, names[1])
+    if real.shape[1] != syn.shape[1]:
+        raise ShapeError(f"{names[0]} has {real.shape[1]} columns, {names[1]} has {syn.shape[1]}")
+    return real, syn
+
+
 def _sqrtm_psd(mat: np.ndarray, label: str) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition, clamping roundoff."""
     sym = (mat + mat.T) / 2.0
@@ -65,10 +73,7 @@ def fid(real, syn) -> float:
     covariances the unbiased empirical ones and the matrix square roots
     computed by symmetric eigendecomposition.
     """
-    real = _check_feature_set(real, "real")
-    syn = _check_feature_set(syn, "syn")
-    if real.shape[1] != syn.shape[1]:
-        raise ShapeError(f"feature dims differ: {real.shape[1]} vs {syn.shape[1]}")
+    real, syn = _check_pair(real, syn)
     mu_r, mu_s = real.mean(axis=0), syn.mean(axis=0)
     cov_r = np.atleast_2d(np.cov(real, rowvar=False))
     cov_s = np.atleast_2d(np.cov(syn, rowvar=False))
@@ -94,10 +99,7 @@ def kid(real, syn) -> float:
     sets the cross term is likewise the u-statistic (diagonal excluded), so
     identical sets score exactly zero. Report x1000 at presentation layers.
     """
-    real = _check_feature_set(real, "real")
-    syn = _check_feature_set(syn, "syn")
-    if real.shape[1] != syn.shape[1]:
-        raise ShapeError(f"feature dims differ: {real.shape[1]} vs {syn.shape[1]}")
+    real, syn = _check_pair(real, syn)
     n, m = real.shape[0], syn.shape[0]
     k_xx = _poly_kernel(real, real)
     k_yy = _poly_kernel(syn, syn)

@@ -27,6 +27,7 @@ from .errors import DomainError, ShapeError, TrainingError
 from .schedules import (
     PathSchedule,
     RectifiedSchedule,
+    cfg_combine,
     interpolate,
     rectified_interpolate,
     target_velocity,
@@ -276,11 +277,11 @@ class VelocityModel:
         A guided bound solve also passes omega. x then holds the B rows that
         the conditional and null halves share: x @ w_in[:D] is computed once
         and stacked to 2B rows, and pre (mask models) or z (class models)
-        holds 2B rows, conditional half first. The halves are combined as
-        cfg_combine does before the output layer, which then runs on B rows;
-        since that layer is affine, this equals cfg_combine of the two
-        outputs in real arithmetic. The cache serves backward only for calls
-        without omega.
+        holds 2B rows, conditional half first. cfg_combine combines the
+        halves before the output layer, which then runs on B rows; since
+        that layer is affine, this equals cfg_combine of the two outputs in
+        real arithmetic. The cache serves backward only for calls without
+        omega.
         """
         p = self._p
         e = zh = zh_sig = None
@@ -302,10 +303,7 @@ class VelocityModel:
             hs.append(h)
             sigs.append(sig)
         if omega is not None:
-            h_c, h_u = h.reshape(2, len(x), -1)
-            h = h_c - h_u
-            h *= omega
-            h += h_u
+            h = cfg_combine(*h.reshape(2, len(x), -1), omega)
         out = h @ p["w_out"]
         out += p["b_out"]
         cache = {"x": x, "cond": cond, "e": e, "zh": zh, "zh_sig": zh_sig, "hs": hs, "sigs": sigs}

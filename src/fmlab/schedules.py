@@ -150,5 +150,8 @@ def cfg_combine(v_cond, v_uncond, omega: float):
     v_cond, v_uncond = _check_same_shape(v_cond, v_uncond)
     if omega == 1.0:
         return v_cond.copy()
-    return v_uncond + omega * (v_cond - v_uncond)
+    out = v_cond - v_uncond
+    out *= omega
+    out += v_uncond
+    return out
 

@@ -307,6 +307,40 @@ def test_train_names_the_raster_whose_size_is_wrong(workspace, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_train_names_a_mask_with_no_paired_image(workspace, tmp_path, capsys):
+    images = tmp_path / "images"
+    images.mkdir()
+    for src in sorted((workspace / "images").iterdir())[1:]:
+        (images / src.name).write_bytes(src.read_bytes())
+    cfg = write_config(
+        tmp_path / "r.cfg", task="image_renderer", data_masks=workspace / "masks", data_images=images,
+        resolution=8, width=8, time_embed_dim=4, steps=2, batch=4,
+    )
+    out = tmp_path / "m.fmck"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+    assert "error: no image paired with mask s00.pgm" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("env, seed, source", [(None, -1, "config"), ("-3", 1, "FMLAB_SEED")])
+def test_train_names_a_negative_seed_before_reading_data(
+    workspace, tmp_path, monkeypatch, capsys, env, seed, source
+):
+    monkeypatch.setattr(rasters, "load_pgm", lambda *a: pytest.fail("a raster was read"))
+    if env is not None:
+        monkeypatch.setenv("FMLAB_SEED", env)
+    cfg = write_config(
+        tmp_path / "i.cfg", task="injector", data_masks=workspace / "masks",
+        data_images=workspace / "images", data_backgrounds=workspace / "backgrounds",
+        resolution=8, width=8, time_embed_dim=4, steps=2, seed=seed,
+    )
+    out = tmp_path / "i.fmck"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+    name = f"{cfg}: 'seed'" if source == "config" else source
+    assert f"error: {name} must be >= 0, got {env or seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_missing_data_exits_2(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "bad.cfg", task="mask_generator", data_masks=tmp_path / "nope",
@@ -1197,6 +1231,30 @@ def test_split_rejects_fractions_outside_the_unit_interval(tmp_path, capsys, mon
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fractions", ["a,b,c", "0.5,0.5", "0.5,0.25,0.25,0"])
+def test_split_names_fractions_that_are_not_three_numbers(tmp_path, capsys, monkeypatch, fractions):
+    path = _manifest_with(tmp_path, 4)
+    monkeypatch.setattr(cli, "read_manifest", lambda *a: pytest.fail("the manifest was read"))
+    out = tmp_path / "o.tsv"
+    assert main(["split", "--manifest", str(path), f"--fractions={fractions}", "--out", str(out)]) == 2
+    assert f"error: --fractions must be three comma-separated numbers, got {fractions}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("env, flag, source", [(None, "-2", "--seed"), ("-3", "4", "FMLAB_SEED")])
+def test_split_names_a_negative_seed_before_reading_the_manifest(
+    tmp_path, capsys, monkeypatch, env, flag, source
+):
+    path = _manifest_with(tmp_path, 4)
+    monkeypatch.setattr(cli, "read_manifest", lambda *a: pytest.fail("the manifest was read"))
+    if env is not None:
+        monkeypatch.setenv("FMLAB_SEED", env)
+    out = tmp_path / "o.tsv"
+    assert main(["split", "--manifest", str(path), "--seed", flag, "--out", str(out)]) == 2
+    assert f"error: {source} must be >= 0, got {env or flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- evaluate -----------------------------------------------------------------------
 
 
@@ -1334,6 +1392,36 @@ def test_evaluate_names_a_malformed_feature_tsv(tmp_path, capsys, body, message)
     argv = ["evaluate", "--pred", str(masks), "--gt", str(masks), "--out", str(out)]
     assert main(argv + ["--features-real", str(real), "--features-syn", str(syn)]) == 2
     assert f"{message} in {real}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, dim", [(1, 2), (5, 3)], ids=["one-row", "other-width"])
+def test_evaluate_names_feature_tsvs_that_do_not_pair(tmp_path, capsys, rows, dim):
+    masks = tmp_path / "masks"
+    masks.mkdir()
+    save_mask(masks / "a.pgm", np.eye(4, dtype=np.uint8))
+    real, syn = tmp_path / "real.tsv", tmp_path / "syn.tsv"
+    real.write_text("1.0\t2.0\n" * rows)
+    syn.write_text("\t".join(["0.5"] * dim) + "\n" + "\t".join(["1.5"] * dim) + "\n")
+    out = tmp_path / "eval.tsv"
+    argv = ["evaluate", "--pred", str(masks), "--gt", str(masks), "--out", str(out)]
+    assert main(argv + ["--features-real", str(real), "--features-syn", str(syn)]) == 2
+    err = capsys.readouterr().err
+    if rows == 1:
+        assert f"error: {real} needs at least 2 rows, got 1" in err
+    else:
+        assert f"error: {real} has 2 columns, {syn} has 3" in err
+    assert not out.exists()
+
+
+def test_evaluate_names_a_pred_file_of_another_size(tmp_path, capsys):
+    pred, gt = tmp_path / "pred", tmp_path / "gt"
+    pred.mkdir(), gt.mkdir()
+    save_mask(pred / "a.pgm", np.eye(8, dtype=np.uint8))
+    save_mask(gt / "a.pgm", np.eye(4, dtype=np.uint8))
+    out = tmp_path / "eval.tsv"
+    assert main(["evaluate", "--pred", str(pred), "--gt", str(gt), "--out", str(out)]) == 2
+    assert f"error: {pred / 'a.pgm'} is (8, 8), {gt / 'a.pgm'} is (4, 4)" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1526,7 +1614,7 @@ def test_propagate_renders_each_variant_with_its_own_seed(workspace, tmp_path):
 
 @pytest.mark.parametrize("masks_side, model", [(8, "mask.fmck"), (4, "render.fmck")])
 def test_propagate_rejects_a_renderer_for_other_masks(
-    workspace, tmp_path, capsys, masks_side, model
+    workspace, tmp_path, monkeypatch, capsys, masks_side, model
 ):
     # A class-conditional checkpoint, or a renderer of 8x8 masks given 4x4 masks.
     src = tmp_path / "src"
@@ -1534,14 +1622,19 @@ def test_propagate_rejects_a_renderer_for_other_masks(
     mask = np.zeros((masks_side, masks_side), dtype=np.uint8)
     mask[1, :] = 1
     save_mask(src / "a.pgm", mask)
+    reads = []
+    real_load = cli.rasters.load_mask
+    monkeypatch.setattr(cli.rasters, "load_mask", lambda p: reads.append(p) or real_load(p))
     out = tmp_path / "prop_bad_renderer"
     argv = ["propagate", "--masks", str(src), "--image-model", str(workspace / model)]
     assert main(argv + ["--ode-steps", "2", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     if model == "mask.fmck":
+        # The flag is checked before any mask is read.
         assert "need task=image_renderer, got task=mask_generator" in err
+        assert reads == []
     else:
-        assert f"error: --image-model needs (8, 8) masks, {src / 'a.pgm'} is (4, 4)" in err
+        assert f"error: {src / 'a.pgm'} is (4, 4), --image-model takes (8, 8) masks" in err
     assert not out.exists()
 
 
@@ -1558,7 +1651,7 @@ def test_propagate_with_an_image_model_rejects_masks_of_mixed_size(
     out = tmp_path / "out"
     argv = ["propagate", "--masks", str(src), "--image-model", str(workspace / "render.fmck")]
     assert main(argv + ["--ode-steps", "2", "--out", str(out)]) == 2
-    assert f"error: --image-model needs (8, 8) masks, {src / 'b.pgm'} is (4, 4)" in capsys.readouterr().err
+    assert f"error: {src / 'b.pgm'} is (4, 4), --image-model takes (8, 8) masks" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
 

@@ -21,6 +21,13 @@ from fmlab.metrics import (
 )
 
 
+@pytest.mark.parametrize("distance", [fid, kid])
+def test_fid_and_kid_name_both_sets_when_their_widths_differ(distance):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ShapeError, match="real has 2 columns, syn has 3"):
+        distance(rng.standard_normal((5, 2)), rng.standard_normal((5, 3)))
+
+
 def exact_moment_set(rng, n, mean, var):
     """1D sample whose empirical mean/unbiased variance are exactly (mean, var)."""
     x = rng.standard_normal(n)

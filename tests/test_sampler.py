@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fmlab.neural
 from fmlab.errors import DivergenceError, DomainError, ShapeError
 from fmlab.neural import VelocityModel
 from fmlab.sampler import IntegratorConfig, integrate, integrate_from_background
@@ -257,6 +258,18 @@ def test_guided_euler_solve_makes_one_call_per_step_on_the_shared_rows(mode, mon
     calls.clear()
     integrate(model, rng.standard_normal((5, 16)), _conditions(mode, rng, 5), IntegratorConfig("euler", 11))
     assert calls == [(5, None, 5)] * 11
+
+
+@pytest.mark.parametrize("mode", ["class_conditional", "mask_conditional"])
+def test_a_guided_forward_combines_its_hidden_halves_with_cfg_combine(mode, monkeypatch):
+    model = _random_model(mode)
+    rng = np.random.default_rng(10)
+    x, y = rng.standard_normal((4, 16)), _conditions(mode, rng, 4)
+    want = model.bind(y, 1.2, 4)(x, 0.5)
+    omegas = []
+    monkeypatch.setattr(fmlab.neural, "cfg_combine", lambda c, u, w: omegas.append(w) or cfg_combine(c, u, w))
+    assert np.array_equal(model.bind(y, 1.2, 4)(x, 0.5), want)
+    assert omegas == [1.2]
 
 
 @pytest.mark.parametrize("batch", [1, 7, 256])
